@@ -53,9 +53,8 @@ def main():
         print("  p=%.3f  labels=%s" % (exact[idx], partitions[idx]))
 
     seed = 11
-    rng = np.random.default_rng(seed)
     state = SamplerState(g, init_assignments_first(g, hyper, seed), None,
-                         hyper, rng)
+                         hyper, np.random.default_rng(seed))
     counts = Counter()
     burn = 2000
     checkpoints = (5_000, 10_000, 20_000, 40_000)
@@ -63,7 +62,7 @@ def main():
     print()
     print("sweeps   TV distance")
     for sweep in range(max(checkpoints)):
-        gibbs_sweep(state, hyper, rng)
+        gibbs_sweep(state)
         if sweep >= burn:
             counts[canonical(state.G, g.edges)] += 1
             kept += 1

@@ -17,8 +17,8 @@ from .graphs import (DynamicNetwork, GraphFormatError, SnapshotGraph,
                      load_dynamic, save_dynamic, validate)
 from .membership import (Cover, SoftMembership, extract_cover, load_covers,
                          save_covers, select_best, soft_membership)
-from .metrics import (MetricReport, MetricRow, community_count_series,
-                      extended_modularity, overlapping_nmi)
+from .metrics import (MetricReport, MetricRow, extended_modularity,
+                      overlapping_nmi)
 from .model import (CommunityStats, HyperParams, collapsed_partition_score,
                     crp_log_prob, crp_weights, edge_likelihood,
                     new_group_weight, rcrp_weights)
@@ -35,8 +35,7 @@ __all__ = [
     "save_dynamic", "validate",
     "Cover", "SoftMembership", "extract_cover", "load_covers", "save_covers",
     "select_best", "soft_membership",
-    "MetricReport", "MetricRow", "community_count_series",
-    "extended_modularity", "overlapping_nmi",
+    "MetricReport", "MetricRow", "extended_modularity", "overlapping_nmi",
     "CommunityStats", "HyperParams", "collapsed_partition_score",
     "crp_log_prob", "crp_weights", "edge_likelihood", "new_group_weight",
     "rcrp_weights",

@@ -162,17 +162,8 @@ def resolve_run_config(args) -> RunConfig:
 
 
 def _write_meta(cfg: RunConfig, extra: dict[str, object]) -> None:
-    lines = {
-        "command": cfg.command,
-        "version": __version__,
-        "seed": cfg.seed,
-        "alpha": cfg.hyper.alpha,
-        "gamma": cfg.hyper.gamma,
-        "theta": cfg.hyper.theta,
-        "samples_first": cfg.hyper.s_first,
-        "samples_later": cfg.hyper.s_later,
-        "k0_divisor": cfg.hyper.k0_divisor,
-    }
+    lines = {"command": cfg.command, "version": __version__, "seed": cfg.seed}
+    lines.update((key, getattr(cfg.hyper, field)) for key, field, _ in _HYPER_FIELDS)
     lines.update(extra)
     with open(cfg.out / "run_meta.txt", "w", encoding="utf-8") as fh:
         for key, val in lines.items():
@@ -208,9 +199,9 @@ def cmd_detect(cfg: RunConfig) -> int:
     for res in results:
         nmi = None
         if truth is not None:
-            nmi = overlapping_nmi(res.cover, truth[res.t], res.graph.nodes)
-        rows.append(MetricRow(res.t, nmi, extended_modularity(res.cover, res.graph),
-                              res.cover.k))
+            nmi = overlapping_nmi(res.cover, truth[res.t],
+                                  _nmi_universe(res.graph, truth[res.t]))
+        rows.append(MetricRow(res.t, nmi, res.record.modularity, res.cover.k))
     report = MetricReport(rows)
     cfg.out.mkdir(parents=True, exist_ok=True)
     save_covers(cfg.out / "covers.txt", {r.t: r.cover for r in results})
@@ -222,11 +213,18 @@ def cmd_detect(cfg: RunConfig) -> int:
     return 0
 
 
+def _nmi_universe(g, truth_cover) -> set[int]:
+    """Nodes the NMI is taken over: the snapshot's nodes plus every node the
+    truth cover names, since a truth cover may still name a node that has
+    left the network."""
+    return set(g.nodes) | truth_cover.covered_nodes()
+
+
 def _evaluate_one(covers, truth, snaps) -> list[MetricRow]:
     rows = []
     for t in sorted(covers):
         g = snaps[t]
-        nmi = overlapping_nmi(covers[t], truth[t], g.nodes)
+        nmi = overlapping_nmi(covers[t], truth[t], _nmi_universe(g, truth[t]))
         rows.append(MetricRow(t, nmi, extended_modularity(covers[t], g),
                               covers[t].k))
     return rows
@@ -270,12 +268,9 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha", type=float, default=None)
-    common.add_argument("--gamma", type=float, default=None)
-    common.add_argument("--theta", type=float, default=None)
-    common.add_argument("--samples-first", dest="samples_first", type=int, default=None)
-    common.add_argument("--samples-later", dest="samples_later", type=int, default=None)
-    common.add_argument("--k0-divisor", dest="k0_divisor", type=int, default=None)
+    for key, _, cast in _HYPER_FIELDS:
+        common.add_argument("--" + key.replace("_", "-"), dest=key, type=cast,
+                            default=None)
     common.add_argument("--seed", type=int, default=None,
                         help="falls back to the config file, then DYNCOMM_SEED, then 0")
     common.add_argument("--out", default=None, help="output directory")

@@ -16,7 +16,7 @@ from .model import BetaMatrix, CommunityStats
 
 
 class SoftMembership:
-    """Membership weights u over (community, node), with per-node maxima."""
+    """Membership weights u over (community, node)."""
 
     def __init__(self, nodes: Sequence[int], ids: Sequence[int], u: np.ndarray):
         self.nodes = tuple(nodes)
@@ -28,18 +28,6 @@ class SoftMembership:
 
     def value(self, i: int, r: int) -> float:
         return float(self.u[self.ids.index(r), self.nodes.index(i)])
-
-    def node_max(self, i: int) -> float:
-        col = self.nodes.index(i)
-        return float(self.u[:, col].max()) if self.ids else 0.0
-
-    def as_dict(self) -> dict[tuple[int, int], float]:
-        out = {}
-        for a, r in enumerate(self.ids):
-            for b, i in enumerate(self.nodes):
-                if self.u[a, b] > 0:
-                    out[(i, r)] = float(self.u[a, b])
-        return out
 
 
 @dataclass

@@ -116,11 +116,6 @@ def overlapping_nmi(x: Cover, y: Cover, universe: Iterable[int]) -> float:
     return min(1.0, max(0.0, value))
 
 
-def community_count_series(covers: Sequence[Cover]) -> list[int]:
-    """k_detected per snapshot: nonempty communities in each cover."""
-    return [c.k for c in covers]
-
-
 @dataclass
 class MetricRow:
     t: int

@@ -229,45 +229,6 @@ def crp_log_prob(sizes: Iterable[int], alpha: float) -> float:
     return out
 
 
-def log_dirichlet_normalizer(concentration: np.ndarray) -> float:
-    """log C(v) = sum_l log Gamma(v_l) - log Gamma(sum_l v_l)."""
-    v = np.asarray(concentration, dtype=np.float64)
-    return float(gammaln(v).sum() - gammaln(v.sum()))
-
-
-def log_joint(assignment: Mapping[EdgeKey, int], beta: BetaMatrix,
-              graph: SnapshotGraph, hyper: HyperParams) -> float:
-    """Log joint score of one snapshot state.
-
-    Three factors: the edge likelihoods of all assigned edges, the seating
-    prior over the induced edge partition, and the Dirichlet prior density
-    of each occupied community's beta vector.  Returns ``-inf`` when an
-    assigned edge has zero likelihood.  Zero beta entries are skipped in
-    the density sum (with concentration below one the exact density
-    diverges on the simplex boundary), so values are comparable between
-    states but are not absolute densities there.
-    """
-    sizes: Counter = Counter()
-    total = 0.0
-    for u, v in graph.edges:
-        if (u, v) not in assignment:
-            raise ValueError("edge (%d, %d) is unassigned" % (u, v))
-        r = assignment[(u, v)]
-        sizes[r] += 1
-        p = edge_likelihood(beta, r, u, v)
-        if p <= 0.0:
-            return float("-inf")
-        total += math.log(p)
-    total += crp_log_prob(sizes.values(), hyper.alpha)
-    gvec = gamma_vector(hyper.gamma, graph.n)
-    log_c = log_dirichlet_normalizer(gvec)
-    for r in sizes:
-        b = beta.vector(r)
-        pos = b > 0
-        total += -log_c + float(np.sum((gvec[pos] - 1.0) * np.log(b[pos])))
-    return total
-
-
 def collapsed_partition_score(assignment: Mapping[EdgeKey, int],
                               graph: SnapshotGraph, hyper: HyperParams) -> float:
     """Exact log score of an edge partition with the beta vectors integrated out.

@@ -15,20 +15,14 @@ never reused.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .graphs import DynamicNetwork, SnapshotGraph
 from .membership import Cover, extract_cover, select_best, soft_membership_from_arrays
 from .metrics import extended_modularity
-from .model import (
-    BetaMatrix,
-    CommunityStats,
-    EdgeKey,
-    HyperParams,
-    gamma_vector,
-)
+from .model import BetaMatrix, CommunityStats, EdgeKey, HyperParams
 
 
 class CommunityIdAllocator:
@@ -69,9 +63,6 @@ class SampleRecord:
     def assignment(self) -> dict[EdgeKey, int]:
         return {e: int(r) for e, r in zip(self.edge_keys, self.assign_ids)}
 
-    def beta_matrix(self) -> BetaMatrix:
-        return BetaMatrix(self.nodes, {r: self.beta[a] for a, r in enumerate(self.ids)})
-
 
 @dataclass
 class PrevSummary:
@@ -97,36 +88,28 @@ class SamplerState:
     ----------
     graph : SnapshotGraph
         The immutable snapshot being fitted.
-    is_first : bool
-        True when no previous-snapshot summary was supplied.
     hyper : HyperParams
-        Kept for internal draws (initial betas, community creation); the
-        sweep operations take their own hyper argument and callers are
-        expected to pass the same one.
-    rng_seed :
-        Whatever seed material the state was built from, for provenance.
+        The hyper-parameters of every draw and record the state makes.
+    rng : np.random.Generator
+        The chain's random stream; every move draws from it.
     """
-
-    #: how a brand-new community's beta is drawn: "prior" (Dir(gamma)) or
-    #: "posterior" (Dir(gamma + one count on each endpoint of the opening
-    #: edge)); class-level default, overridable per instance
-    new_beta = "prior"
 
     def __init__(self, graph: SnapshotGraph, assignment: Mapping[EdgeKey, int],
                  prev_counts: Mapping[int, int] | None, hyper: HyperParams,
-                 rng: np.random.Generator, alloc: CommunityIdAllocator | None = None,
-                 rng_seed=None):
+                 rng: np.random.Generator, alloc: CommunityIdAllocator | None = None):
         self.graph = graph
         self.hyper = hyper
         self.rng = rng
-        self.rng_seed = rng_seed
         self.alloc = alloc if alloc is not None else CommunityIdAllocator()
-        self.is_first = not prev_counts
-        self.t = graph.t
         self.n_nodes = graph.n
         self.m = graph.m
         self._edge_idx = graph.edge_array
         self._edge_pos = {e: a for a, e in enumerate(graph.edges)}
+        self._prior_shape = np.full(self.n_nodes, hyper.gamma)
+        # a brand-new community weighs alpha * gamma^2 / (gamma0 * (gamma0 + 1)),
+        # the closed form of the Dirichlet-marginal edge probability
+        g0 = self.n_nodes * hyper.gamma
+        self._new_w = hyper.alpha * hyper.gamma * hyper.gamma / (g0 * (g0 + 1.0))
 
         cap = max(8, 2 * (len(set(assignment.values())) + len(prev_counts or {})))
         self._cap = cap
@@ -202,14 +185,18 @@ class SamplerState:
         return np.nonzero(self._ids[:self._high] >= 0)[0]
 
     def _init_beta(self) -> None:
-        # maximum-likelihood start for communities that own edges; carried
-        # communities with no current edges start from a prior draw
-        gvec = np.full(self.n_nodes, self.hyper.gamma)
+        # maximum-likelihood start beta_ir = N_ir / (2 n_r) for communities
+        # that own edges; carried communities with no current edges start
+        # from a prior draw
         for row in self._live_rows():
             if self._n[row] > 0:
                 self._beta[row] = self._endpoint[row] / (2.0 * self._n[row])
             else:
-                self._beta[row] = _dirichlet_row(self.rng, gvec)
+                self._beta[row] = self._prior_beta()
+
+    def _prior_beta(self) -> np.ndarray:
+        """One node-importance vector drawn from the Dirichlet(gamma) prior."""
+        return _dirichlet_row(self.rng, self._prior_shape)
 
     # ---------------------------------------------------------------- moves
 
@@ -221,8 +208,7 @@ class SamplerState:
         """Seat edge e at community cid (creating a row for it if needed)."""
         if cid not in self._row_of:
             row = self._acquire_row(int(cid))
-            self._beta[row] = _dirichlet_row(
-                self.rng, np.full(self.n_nodes, self.hyper.gamma))
+            self._beta[row] = self._prior_beta()
         self._add_idx(self._edge_pos[e], int(cid))
 
     def _remove_idx(self, a: int) -> None:
@@ -245,64 +231,57 @@ class SamplerState:
         self._endpoint[row, j] += 1
         self._assign_row[a] = row
 
-    def edge_weights(self, e: EdgeKey, hyper: HyperParams) -> tuple[dict[int, float], float]:
+    def _seat_weights(self, a: int) -> tuple[np.ndarray, np.ndarray]:
+        """Live rows and their seating weights for removed edge index ``a``.
+
+        The weight of a live community is (current + carried size) times
+        the edge likelihood, which covers the first-snapshot case (carried
+        sizes all zero), communities born this snapshot, and carried-over
+        ones in a single expression.
+        """
+        i, j = self._edge_idx[a]
+        rows = self._live_rows()
+        w = (self._n[rows] + self._prev[rows]) * self._beta[rows, i] * self._beta[rows, j]
+        return rows, w
+
+    def edge_weights(self, e: EdgeKey) -> tuple[dict[int, float], float]:
         """Unnormalized seating weights the sampler would use for edge e
         (which must currently be removed): existing communities and NEW."""
         a = self._edge_pos[e]
         if self._assign_row[a] >= 0:
             raise ValueError("edge %r must be removed before weighing" % (e,))
-        i, j = self._edge_idx[a]
-        rows = self._live_rows()
-        w = (self._n[rows] + self._prev[rows]) * self._beta[rows, i] * self._beta[rows, j]
-        g0 = self.n_nodes * hyper.gamma
-        new_w = hyper.alpha * hyper.gamma * hyper.gamma / (g0 * (g0 + 1.0))
-        return {int(self._ids[r]): float(x) for r, x in zip(rows, w)}, new_w
+        rows, w = self._seat_weights(a)
+        return {int(self._ids[r]): float(x) for r, x in zip(rows, w)}, self._new_w
 
-    def draw_for_edge(self, a: int, hyper: HyperParams,
-                      rng: np.random.Generator) -> int:
+    def draw_for_edge(self, a: int) -> int:
         """Draw a community for edge index ``a`` (currently removed).
 
-        The weight of a live community is (current + carried size) times
-        the edge likelihood, which covers the first-snapshot case (carried
-        sizes all zero), communities born this snapshot, and carried-over
-        ones in a single expression.  A brand-new community weighs
-        alpha * gamma^2 / (gamma0 * (gamma0 + 1)), the closed form of the
-        Dirichlet-marginal edge probability; choosing it allocates a fresh
-        id with a prior beta draw.
+        Choosing a brand-new community allocates a fresh id with a prior
+        beta draw.
         """
-        i, j = self._edge_idx[a]
-        rows = self._live_rows()
-        w = (self._n[rows] + self._prev[rows]) * self._beta[rows, i] * self._beta[rows, j]
-        g0 = self.n_nodes * hyper.gamma
-        new_w = hyper.alpha * hyper.gamma * hyper.gamma / (g0 * (g0 + 1.0))
-        total = float(w.sum()) + new_w
+        rows, w = self._seat_weights(a)
+        total = float(w.sum()) + self._new_w
         if not np.isfinite(total) or total <= 0.0:
-            return self._create_community(hyper, rng, i, j)
-        u = rng.random() * total
+            return self._create_community()
+        u = self.rng.random() * total
         cum = np.cumsum(w)
         pos = int(np.searchsorted(cum, u, side="right"))
         if pos >= len(rows):
-            return self._create_community(hyper, rng, i, j)
+            return self._create_community()
         return int(self._ids[rows[pos]])
 
-    def _create_community(self, hyper: HyperParams, rng: np.random.Generator,
-                          i: int, j: int) -> int:
+    def _create_community(self) -> int:
         cid = self.alloc.fresh()
         row = self._acquire_row(cid)
-        shape = np.full(self.n_nodes, hyper.gamma)
-        if self.new_beta == "posterior":
-            # condition the initial draw on the edge that opened the community
-            shape[i] += 1.0
-            shape[j] += 1.0
-        self._beta[row] = _dirichlet_row(rng, shape)
+        self._beta[row] = self._prior_beta()
         return cid
 
-    def resample_beta(self, hyper: HyperParams, rng: np.random.Generator) -> None:
+    def resample_beta(self) -> None:
         """Redraw every live community's beta from Dirichlet(counts + gamma)."""
         rows = self._live_rows()
         if len(rows) == 0:
             return
-        draws = rng.standard_gamma(self._endpoint[rows] + hyper.gamma)
+        draws = self.rng.standard_gamma(self._endpoint[rows] + self.hyper.gamma)
         sums = draws.sum(axis=1, keepdims=True)
         flat = sums[:, 0] <= 0.0
         if np.any(flat):
@@ -352,7 +331,7 @@ class SamplerState:
             "endpoint counts drifted"
         assert sum(fresh.n.values()) == self.m
 
-    def record(self, hyper: HyperParams, sweep_index: int) -> SampleRecord:
+    def record(self, sweep_index: int) -> SampleRecord:
         """Copy the current state into a SampleRecord with its cover."""
         rows = [row for row in self._live_rows() if self._n[row] > 0]
         ids = tuple(int(self._ids[row]) for row in rows)
@@ -361,7 +340,7 @@ class SamplerState:
         assign_ids = np.array([int(self._ids[self._assign_row[a]])
                                for a in range(self.m)], dtype=np.int64)
         u = soft_membership_from_arrays(self.graph.nodes, ids, sizes, beta, self.m)
-        cover = extract_cover(u, hyper.theta)
+        cover = extract_cover(u, self.hyper.theta)
         mod = extended_modularity(cover, self.graph)
         return SampleRecord(sweep_index, self.graph.edges, assign_ids,
                             self.graph.nodes, ids, sizes, beta, cover, mod)
@@ -418,54 +397,17 @@ def init_assignments_carry(g: SnapshotGraph, prev_assignment: Mapping[EdgeKey, i
     return out
 
 
-def init_beta_mle(g: SnapshotGraph, assignment: Mapping[EdgeKey, int]) -> BetaMatrix:
-    """Likelihood-maximizing start: beta_ir = N_ir / (2 n_r)."""
-    stats = CommunityStats.from_assignment(assignment)
-    vectors = {}
-    for r in stats.live():
-        vectors[r] = stats.endpoint_vector(r, g.nodes) / (2.0 * stats.n[r])
-    return BetaMatrix(g.nodes, vectors)
-
-
-def sample_beta(stats: CommunityStats, gamma, rng: np.random.Generator,
-                nodes: Sequence[int]) -> BetaMatrix:
-    """One posterior draw per live community: Dirichlet(endpoint counts + gamma)."""
-    nodes = tuple(nodes)
-    gvec = gamma_vector(gamma, len(nodes))
-    vectors = {}
-    for r in stats.live():
-        vectors[r] = _dirichlet_row(rng, stats.endpoint_vector(r, nodes) + gvec)
-    return BetaMatrix(nodes, vectors)
-
-
 # -------------------------------------------------------------- sweep driver
 
 
-def sample_g_static(e: EdgeKey, state: SamplerState, hyper: HyperParams,
-                    rng: np.random.Generator) -> int:
-    """First-snapshot conditional draw for a removed edge."""
-    if not state.is_first:
-        raise ValueError("static conditional used on a later snapshot")
-    return state.draw_for_edge(state._edge_pos[e], hyper, rng)
-
-
-def sample_g_dynamic(e: EdgeKey, state: SamplerState, hyper: HyperParams,
-                     rng: np.random.Generator) -> int:
-    """Later-snapshot conditional draw; carried community sizes included."""
-    if state.is_first:
-        raise ValueError("dynamic conditional used on the first snapshot")
-    return state.draw_for_edge(state._edge_pos[e], hyper, rng)
-
-
-def gibbs_sweep(state: SamplerState, hyper: HyperParams,
-                rng: np.random.Generator) -> SamplerState:
+def gibbs_sweep(state: SamplerState) -> SamplerState:
     """One full pass: every edge reassigned in shuffled order, then betas
     redrawn.  Mutates and returns the state."""
-    for a in rng.permutation(state.m):
+    for a in state.rng.permutation(state.m):
         state._remove_idx(int(a))
-        cid = state.draw_for_edge(int(a), hyper, rng)
+        cid = state.draw_for_edge(int(a))
         state._add_idx(int(a), cid)
-    state.resample_beta(hyper, rng)
+    state.resample_beta()
     return state
 
 
@@ -485,13 +427,12 @@ def run_snapshot(g: SnapshotGraph, prev: PrevSummary | None, hyper: HyperParams,
     else:
         assignment = init_assignments_carry(g, prev.assignment, hyper, rng, alloc)
         prev_counts = dict(prev.counts)
-    state = SamplerState(g, assignment, prev_counts, hyper, rng, alloc,
-                         rng_seed=seed)
+    state = SamplerState(g, assignment, prev_counts, hyper, rng, alloc)
     sweeps = hyper.s_first if prev is None else hyper.s_later
     records = []
     for sweep_index in range(sweeps):
-        gibbs_sweep(state, hyper, rng)
-        records.append(state.record(hyper, sweep_index))
+        gibbs_sweep(state)
+        records.append(state.record(sweep_index))
     return records
 
 
@@ -511,10 +452,12 @@ def detect_dynamic(net: DynamicNetwork, hyper: HyperParams | None = None,
     """Run detection over a whole snapshot sequence.
 
     Per snapshot, ``chains`` independent Gibbs runs are fitted and the
-    globally best sample by extended modularity wins (ties: latest sweep,
-    then lowest chain).  The winning assignment becomes every chain's
+    globally best sample by extended modularity wins.  Within a chain, ties
+    go to the latest sweep; across chains, a tie keeps the lowest chain,
+    whatever the sweep.  The winning assignment becomes every chain's
     starting summary for the next snapshot, so community ids stay
-    comparable through time.
+    comparable through time.  An empty snapshot passes nothing on: the
+    next snapshot starts from the last non-empty one's summary.
     """
     hyper = hyper if hyper is not None else HyperParams()
     if chains < 1:
@@ -532,7 +475,8 @@ def detect_dynamic(net: DynamicNetwork, hyper: HyperParams | None = None,
                 best = (cover, rec, c)
         cover, rec, c = best
         results.append(SnapshotResult(g.t, g, cover, rec, c))
-        prev = PrevSummary.from_record(rec)
+        if g.m:
+            prev = PrevSummary.from_record(rec)
     return results
 
 

@@ -17,9 +17,9 @@ from dyncomm.benchgen import Event, GenConfig, GenSchedule, generate_dynamic
 from dyncomm.graphs import SnapshotGraph
 from dyncomm.membership import select_best
 from dyncomm.metrics import extended_modularity, overlapping_nmi
-from dyncomm.model import CommunityStats, HyperParams, collapsed_partition_score
+from dyncomm.model import HyperParams, collapsed_partition_score
 from dyncomm.sampler import (SamplerState, detect_dynamic, gibbs_sweep,
-                             init_assignments_first, run_snapshot, sample_beta)
+                             init_assignments_first, run_snapshot)
 
 RECOVERY_SEEDS = (1, 2, 3, 4, 5)
 
@@ -68,7 +68,7 @@ def test_criterion_1_exact_posterior_tv(capsys):
     counts: Counter = Counter()
     sweeps, burn = 100_000, 10_000
     for sweep in range(sweeps):
-        gibbs_sweep(state, hyper, rng)
+        gibbs_sweep(state)
         if sweep >= burn:
             seen = {}
             labels = []
@@ -93,19 +93,18 @@ def test_criterion_1_exact_posterior_tv(capsys):
 
 def test_criterion_2_dirichlet_conditional_mean(capsys):
     """Importance resampling means match (N_ir+g)/(2n_r+Ng) per coordinate."""
-    nodes = tuple(range(5))
     # community 0 holds edges (0,1), (0,2), (0,3), (1,2):
     # endpoint counts 3,2,2,1,0 summing to twice the edge count
-    stats = CommunityStats(
-        n={0: 4},
-        endpoint_counts={(0, 0): 3, (1, 0): 2, (2, 0): 2, (3, 0): 1},
-    )
+    g = SnapshotGraph(range(5), [(0, 1), (0, 2), (0, 3), (1, 2)])
     gamma = 0.5
     analytic = (np.array([3, 2, 2, 1, 0]) + gamma) / (2 * 4 + 5 * gamma)
-    rng = np.random.default_rng(123)
-    draws = np.stack([
-        sample_beta(stats, gamma, rng, nodes).vector(0)
-        for _ in range(10_000)])
+    state = SamplerState(g, {e: 0 for e in g.edges}, None,
+                         HyperParams(gamma=gamma), np.random.default_rng(123))
+    draws = []
+    for _ in range(10_000):
+        state.resample_beta()
+        draws.append(state.B.vector(0))
+    draws = np.stack(draws)
     err = float(np.abs(draws.mean(axis=0) - analytic).max())
     ok = err < 0.01
     announce(capsys, "criterion 2: %s (max coordinate error %.4f vs 0.01)"
@@ -225,10 +224,10 @@ def test_criterion_7_sweep_cost_scales_with_edges(capsys):
         rng = np.random.default_rng(seed + 1000)
         state = SamplerState(g, assign, None, hyper, rng)
         for _ in range(5):  # settle the community count before timing
-            gibbs_sweep(state, hyper, rng)
+            gibbs_sweep(state)
         t0 = time.perf_counter()
         for _ in range(sweeps):
-            gibbs_sweep(state, hyper, rng)
+            gibbs_sweep(state)
         return (time.perf_counter() - t0) / sweeps
 
     ratios = []

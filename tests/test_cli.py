@@ -1,6 +1,8 @@
 """Command-line front end: flags, config files, outputs, exit codes."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,31 @@ def test_detect_deterministic_for_fixed_seed(bench_dir, tmp_path):
                (tmp_path / "r2" / fname).read_bytes()
 
 
+def test_generate_and_detect_bytes_are_pinned(tmp_path):
+    # a refactor of the sampler or CLI must not move these bytes unless it
+    # says it changes the RNG stream
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text("n=40\nk=2\nmixing=0.1\navg_degree=6\nt=3\n")
+    gen, det = tmp_path / "gen", tmp_path / "det"
+    assert run_cli("generate", str(cfg), "--seed", "3", "--out", str(gen)) == 0
+    assert run_cli("detect", str(gen / "network.txt"),
+                   "--truth", str(gen / "truth.txt"), "--seed", "3",
+                   "--chains", "2", "--samples-first", "6",
+                   "--samples-later", "3", "--out", str(det)) == 0
+    pinned = {
+        gen / "network.txt":
+            "8b3a4180897ae0dc3134ba55d923ecbab0d488102aec87bf40c7f62b3434cb20",
+        gen / "truth.txt":
+            "d79e00448fa24ae461ff0a46d68b44f09acdff2f1692b5734edb484bf60dfe39",
+        det / "covers.txt":
+            "579ca91be79c36305b25c86ca29ff6e9bb2c15dab50c4ee0f540c2ee04071e5a",
+        det / "metrics.csv":
+            "ca484dcd22f922ca7671b065b18049ab1aabde35c6ca0837520bfe15721cf804",
+    }
+    for path, digest in pinned.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
+
+
 def test_detect_chains_flag(bench_dir, tmp_path):
     out = tmp_path / "det"
     assert run_cli("detect", str(bench_dir / "network.txt"),
@@ -315,3 +342,20 @@ def test_evaluate_snapshot_mismatch_is_an_error(bench_dir, tmp_path, capsys):
                    "--truth", str(bench_dir / "truth.txt"),
                    "--network", str(bench_dir / "network.txt")) == 1
     assert "snapshot mismatch" in capsys.readouterr().err
+
+
+def test_nmi_universe_includes_truth_nodes_absent_from_the_snapshot(tmp_path):
+    # node 5 leaves the network at t=2 but the truth cover still names it
+    net = tmp_path / "net.txt"
+    net.write_text("1 0 1\n1 0 2\n1 1 2\n1 3 4\n1 3 5\n1 4 5\n"
+                   "2 0 1\n2 0 2\n2 1 2\n2 3 4\n")
+    truth = tmp_path / "truth.txt"
+    truth.write_text("".join("%d %d %d 1.0\n" % (t, i // 3, i)
+                             for t in (1, 2) for i in range(6)))
+    out = tmp_path / "det"
+    assert run_cli("detect", str(net), str(fast_hyper(tmp_path)),
+                   "--truth", str(truth), "--seed", "2", "--out", str(out)) == 0
+    rows = (out / "metrics.csv").read_text().splitlines()[1:3]
+    assert all(0.0 <= float(row.split(",")[1]) <= 1.0 for row in rows)
+    assert run_cli("evaluate", str(out / "covers.txt"), "--truth", str(truth),
+                   "--network", str(net), "--out", str(tmp_path / "ev")) == 0

@@ -9,7 +9,6 @@ from dyncomm.membership import Cover
 from dyncomm.metrics import (
     MetricReport,
     MetricRow,
-    community_count_series,
     extended_modularity,
     overlapping_nmi,
 )
@@ -218,15 +217,7 @@ def test_nmi_cover_node_outside_universe_rejected():
         overlapping_nmi(Cover({0: {9}}), Cover({0: {0}}), range(3))
 
 
-# ---------------------------------------------------------------- series and report
-
-
-def test_community_count_series():
-    covers = [Cover({0: {1}, 1: {2}, 2: {3}}),
-              Cover({0: {1}, 1: {2}, 2: {3}, 3: {4}}),
-              Cover({0: {1}, 1: {2}, 2: {3}, 4: {5}})]
-    assert community_count_series(covers) == [3, 4, 4]
-    assert community_count_series([Cover()]) == [0]
+# ---------------------------------------------------------------- report
 
 
 def test_metric_report_csv_round_trip():

@@ -14,7 +14,6 @@ from dyncomm.model import (
     crp_log_prob,
     crp_weights,
     edge_likelihood,
-    log_joint,
     new_group_weight,
     rcrp_weights,
 )
@@ -196,55 +195,6 @@ def test_crp_log_prob_sums_to_one_over_all_partitions():
         total = sum(math.exp(crp_log_prob([len(g) for g in p], alpha))
                     for p in set_partitions(range(4)))
         assert total == pytest.approx(1.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------- joint score
-
-
-def test_log_joint_single_edge_hand_value():
-    g = SnapshotGraph([0, 1], [(0, 1)])
-    b = BetaMatrix([0, 1], {0: np.array([0.5, 0.5])})
-    h1 = HyperParams(gamma=1.0)
-    assert log_joint({(0, 1): 0}, b, g, h1) == pytest.approx(math.log(0.25))
-    # gamma=0.5: Dirichlet density adds log(2/pi) at the uniform point
-    h2 = HyperParams(gamma=0.5)
-    assert log_joint({(0, 1): 0}, b, g, h2) == pytest.approx(math.log(0.5 / math.pi))
-
-
-def test_log_joint_zero_likelihood_sentinel():
-    g = SnapshotGraph([0, 1], [(0, 1)])
-    b = BetaMatrix([0, 1], {0: np.array([1.0, 0.0])})
-    assert log_joint({(0, 1): 0}, b, g, HyperParams()) == float("-inf")
-
-
-def test_log_joint_unassigned_edge_rejected():
-    g = SnapshotGraph([0, 1, 2], [(0, 1), (1, 2)])
-    b = BetaMatrix([0, 1, 2], {0: np.full(3, 1 / 3)})
-    with pytest.raises(ValueError, match="unassigned"):
-        log_joint({(0, 1): 0}, b, g, HyperParams())
-
-
-def test_log_joint_relabeling_invariance():
-    rng = np.random.default_rng(9)
-    h = HyperParams(alpha=0.4, gamma=0.6)
-    for trial in range(20):
-        n = 6
-        edges = sorted({(int(a), int(b)) for a, b in
-                        rng.integers(0, n, size=(12, 2)) if a < b})
-        if not edges:
-            continue
-        g = SnapshotGraph(range(n), edges)
-        k = int(rng.integers(1, 4))
-        assign = {e: int(rng.integers(0, k)) for e in edges}
-        used = sorted(set(assign.values()))
-        vecs = {r: rng.dirichlet(np.full(n, 0.8)) for r in used}
-        b = BetaMatrix(range(n), vecs)
-        shift = {r: r + 100 for r in used}
-        assign2 = {e: shift[r] for e, r in assign.items()}
-        b2 = BetaMatrix(range(n), {shift[r]: v for r, v in vecs.items()})
-        lj1 = log_joint(assign, b, g, h)
-        lj2 = log_joint(assign2, b2, g, h)
-        assert lj1 == pytest.approx(lj2, abs=1e-10)
 
 
 # ---------------------------------------------------------------- collapsed oracle

@@ -7,7 +7,6 @@ from dyncomm.graphs import DynamicNetwork, SnapshotGraph
 from dyncomm.membership import Cover
 from dyncomm.metrics import overlapping_nmi
 from dyncomm.model import (
-    CommunityStats,
     HyperParams,
     collapsed_partition_score,
     crp_weights,
@@ -23,11 +22,7 @@ from dyncomm.sampler import (
     gibbs_sweep,
     init_assignments_carry,
     init_assignments_first,
-    init_beta_mle,
     run_snapshot,
-    sample_beta,
-    sample_g_dynamic,
-    sample_g_static,
 )
 
 
@@ -94,18 +89,24 @@ def test_init_carry_empty_prev_falls_back_to_fresh_community():
     assert set(assign.values()) == {11}
 
 
+def start_beta(g, assignment):
+    """The beta matrix a fresh SamplerState starts from."""
+    return SamplerState(g, assignment, None, HyperParams(),
+                        np.random.default_rng(0)).B
+
+
 def test_init_beta_mle_values():
     tri = SnapshotGraph(range(3), [(0, 1), (0, 2), (1, 2)])
-    b = init_beta_mle(tri, {e: 0 for e in tri.edges})
+    b = start_beta(tri, {e: 0 for e in tri.edges})
     assert np.allclose(b.vector(0), [1 / 3, 1 / 3, 1 / 3])
 
     star = SnapshotGraph(range(4), [(0, 1), (0, 2), (0, 3)])
-    b = init_beta_mle(star, {e: 2 for e in star.edges})
+    b = start_beta(star, {e: 2 for e in star.edges})
     assert b.value(2, 0) == pytest.approx(0.5)
     assert b.value(2, 1) == pytest.approx(1 / 6)
 
     single = SnapshotGraph(range(2), [(0, 1)])
-    b = init_beta_mle(single, {(0, 1): 9})
+    b = start_beta(single, {(0, 1): 9})
     assert np.allclose(b.vector(9), [0.5, 0.5])
 
 
@@ -113,7 +114,7 @@ def test_init_beta_mle_rows_sum_to_one():
     rng = np.random.default_rng(2)
     g = random_graph(rng, 12, 40)
     assign = {e: int(rng.integers(0, 4)) for e in g.edges}
-    b = init_beta_mle(g, assign)
+    b = start_beta(g, assign)
     for r in b.communities:
         assert b.vector(r).sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -121,28 +122,39 @@ def test_init_beta_mle_rows_sum_to_one():
 # ---------------------------------------------------------------- beta draws
 
 
+def resampled_betas(state, draws):
+    """``draws`` successive posterior beta matrices of one state."""
+    out = []
+    for _ in range(draws):
+        state.resample_beta()
+        out.append(state.B)
+    return out
+
+
 def test_sample_beta_posterior_mean():
-    stats = CommunityStats({5: 2}, {(0, 5): 2, (1, 5): 1, (2, 5): 1})
-    rng = np.random.default_rng(6)
-    draws = [sample_beta(stats, 0.1, rng, nodes=range(4)).value(5, 0)
-             for _ in range(10_000)]
+    # community 5 holds (0,1) and (0,2): endpoint counts 2, 1, 1, 0
+    g = SnapshotGraph(range(4), [(0, 1), (0, 2)])
+    state = SamplerState(g, {e: 5 for e in g.edges}, None,
+                         HyperParams(gamma=0.1), np.random.default_rng(6))
+    draws = [b.value(5, 0) for b in resampled_betas(state, 10_000)]
     assert np.mean(draws) == pytest.approx(2.1 / 4.4, abs=0.01)
 
 
 def test_sample_beta_prior_dominates_for_huge_gamma():
-    stats = CommunityStats({0: 1}, {(0, 0): 1, (1, 0): 1})
-    rng = np.random.default_rng(7)
-    draws = np.array([sample_beta(stats, 1e6, rng, nodes=range(4)).vector(0)
-                      for _ in range(2000)])
+    g = SnapshotGraph(range(4), [(0, 1)])
+    state = SamplerState(g, {(0, 1): 0}, None, HyperParams(gamma=1e6),
+                         np.random.default_rng(7))
+    draws = np.array([b.vector(0) for b in resampled_betas(state, 2000)])
     assert np.allclose(draws.mean(axis=0), 0.25, atol=0.01)
 
 
 def test_sample_beta_rows_on_simplex():
-    stats = CommunityStats({0: 3, 1: 1},
-                           {(0, 0): 3, (1, 0): 2, (2, 0): 1, (3, 1): 1, (4, 1): 1})
-    rng = np.random.default_rng(8)
-    for trial in range(50):
-        b = sample_beta(stats, 0.1, rng, nodes=range(5))
+    g = SnapshotGraph(range(5), [(0, 1), (0, 2), (1, 2), (3, 4)])
+    assign = {(0, 1): 0, (0, 2): 0, (1, 2): 0, (3, 4): 1}
+    state = SamplerState(g, assign, None, HyperParams(gamma=0.1),
+                         np.random.default_rng(8))
+    for b in resampled_betas(state, 50):
+        assert b.communities == [0, 1]
         for r in b.communities:
             assert abs(b.vector(r).sum() - 1.0) < 1e-9
 
@@ -170,7 +182,7 @@ def test_static_edge_weights_hand_example():
     row_b = state._row_of[200]
     state._beta[row_a, 0], state._beta[row_a, 1] = 0.2, 0.1
     state._beta[row_b, 0], state._beta[row_b, 1] = 0.5, 0.4
-    existing, new = state.edge_weights((0, 1), h)
+    existing, new = state.edge_weights((0, 1))
     assert existing[100] == pytest.approx(0.06)
     assert existing[200] == pytest.approx(0.2)
     assert new == pytest.approx(5e-4)
@@ -183,10 +195,10 @@ def test_static_draw_frequencies_match_weights():
     row_b = state._row_of[200]
     state._beta[row_a, 0], state._beta[row_a, 1] = 0.2, 0.1
     state._beta[row_b, 0], state._beta[row_b, 1] = 0.5, 0.4
-    rng = np.random.default_rng(10)
+    a = state._edge_pos[(0, 1)]
     hits = Counter()
     for _ in range(30_000):
-        cid = sample_g_static((0, 1), state, h, rng)
+        cid = state.draw_for_edge(a)
         hits[cid] += 1
         if cid not in (100, 200):
             state._release_row(state._row_of[cid])  # keep the fixture fixed
@@ -206,7 +218,7 @@ def test_dynamic_edge_weights_hand_example():
     state._beta[state._row_of[100], 1] = 0.3
     state._beta[state._row_of[300], 0] = 0.5
     state._beta[state._row_of[300], 1] = 0.2
-    existing, new = state.edge_weights((0, 1), h)
+    existing, new = state.edge_weights((0, 1))
     assert existing[100] == pytest.approx(0.54)
     # previous-only community stays revivable with weight prev_size * beta product
     assert existing[300] == pytest.approx(6 * 0.1)
@@ -219,26 +231,14 @@ def test_new_community_id_is_fresh():
     h = HyperParams(alpha=50.0)  # make NEW likely
     state = SamplerState(g, assign, {0: 4, 2: 6}, h, np.random.default_rng(2))
     state.remove_edge((0, 1))
-    rng = np.random.default_rng(3)
+    a = state._edge_pos[(0, 1)]
     for _ in range(200):
-        cid = sample_g_dynamic((0, 1), state, h, rng)
+        cid = state.draw_for_edge(a)
         if cid not in (0, 1, 2):
             assert cid >= 3
             return
         # re-balance nothing; the draw does not mutate counts for existing picks
     pytest.fail("a fresh community was never drawn despite alpha=50")
-
-
-def test_conditional_draw_phase_checks():
-    g, state, h = make_static_state()
-    state.remove_edge((0, 1))
-    with pytest.raises(ValueError, match="dynamic conditional"):
-        sample_g_dynamic((0, 1), state, h, np.random.default_rng(0))
-    g2 = SnapshotGraph(range(3), [(0, 1)])
-    state2 = SamplerState(g2, {(0, 1): 5}, {5: 1}, h, np.random.default_rng(0))
-    state2.remove_edge((0, 1))
-    with pytest.raises(ValueError, match="static conditional"):
-        sample_g_static((0, 1), state2, h, np.random.default_rng(0))
 
 
 def test_edge_weights_agree_with_model_kernels():
@@ -254,7 +254,7 @@ def test_edge_weights_agree_with_model_kernels():
         state = SamplerState(g, assign, prev_counts, h, rng)
         probe = g.edges[int(rng.integers(0, g.m))]
         state.remove_edge(probe)
-        existing, new = state.edge_weights(probe, h)
+        existing, new = state.edge_weights(probe)
 
         beta = state.B
         stats = state.stats
@@ -306,7 +306,7 @@ def test_sweep_keeps_state_consistent():
         assign = init_assignments_first(g, h, rng)
         state = SamplerState(g, assign, None, h, rng)
         for _ in range(4):
-            gibbs_sweep(state, h, rng)
+            gibbs_sweep(state)
             state.check_consistency()
 
 
@@ -317,7 +317,7 @@ def test_sweep_consistency_with_carryover():
     assign = {e: int(rng.integers(0, 3)) for e in g.edges}
     state = SamplerState(g, assign, {0: 5, 1: 2, 9: 4}, h, rng)
     for _ in range(5):
-        gibbs_sweep(state, h, rng)
+        gibbs_sweep(state)
         state.check_consistency()
         assert 2 * state.m == int(sum(state.stats.n.values()) * 2)
 
@@ -328,7 +328,7 @@ def test_previous_only_community_beta_resampled():
     rng = np.random.default_rng(21)
     state = SamplerState(g, {(0, 1): 50}, {50: 1, 60: 5}, h, rng)
     assert 60 in state.B.communities
-    state.resample_beta(h, rng)
+    state.resample_beta()
     vec = state.B.vector(60)
     assert vec.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -408,6 +408,21 @@ def test_detect_dynamic_shape_and_determinism():
         assert a.chain == 0
 
 
+def test_empty_snapshot_keeps_the_carry_over():
+    # an empty middle snapshot must not wipe what t=1 passes on: t=3 has the
+    # same two triangles and should find them under their t=1 ids
+    tri = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    net = DynamicNetwork([SnapshotGraph(range(6), tri, t=1),
+                          SnapshotGraph(range(6), [], t=2),
+                          SnapshotGraph(range(6), tri, t=3)])
+    h = HyperParams(s_first=100, s_later=20)
+    first, empty, last = detect_dynamic(net, h, seed=5, chains=2)
+    assert empty.cover.k == 0
+    assert sorted(map(sorted, first.cover.communities.values())) == \
+        [[0, 1, 2], [3, 4, 5]]
+    assert last.cover.communities == first.cover.communities
+
+
 def test_detect_dynamic_multiple_chains_pick_best():
     rng = np.random.default_rng(31)
     g = random_graph(rng, 10, 30)
@@ -440,7 +455,7 @@ def test_two_edge_chain_matches_exact_posterior():
     counts = Counter()
     sweeps, burn_in = 8000, 500
     for sweep in range(sweeps):
-        gibbs_sweep(state, h, rng)
+        gibbs_sweep(state)
         if sweep >= burn_in:
             counts[partition_key(state.G)] += 1
     total = sweeps - burn_in
