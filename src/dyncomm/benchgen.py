@@ -10,8 +10,7 @@ K series matter more here than degree-sequence realism.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -11,9 +11,24 @@ The state is array-backed: one row per live community holding its edge
 count, carried-over count, per-node endpoint counts and beta vector.  Rows
 are recycled through a free list while community ids stay monotone and are
 never reused.
+
+Within an edge pass beta is fixed, so the state keeps a seating view of its
+live communities: their rows in ascending order, their current plus carried
+sizes as floats, their betas transposed to a contiguous node-by-community
+array, a row-to-position map and two scratch buffers.  It is built on the
+first draw that needs it, moving an edge updates one of its sizes in place,
+and it is dropped whenever the live set or beta changes (a row acquired or
+released, beta redrawn), so the next draw rebuilds it
+with every newborn's prior beta.  A draw then costs a few numpy calls on
+the view.  The weights are multiplied in the same order as the plain
+``(n + prev) * beta_i * beta_j`` gather and summed and accumulated by the
+same reductions (``np.add.reduce`` is ``sum``, ``np.add.accumulate`` is
+``cumsum``), and the random stream is consumed identically, so every draw,
+and every output byte, is what the gather form gives.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -52,7 +67,6 @@ class SampleRecord:
     sweep_index: int
     edge_keys: tuple[EdgeKey, ...]
     assign_ids: np.ndarray
-    nodes: tuple[int, ...]
     ids: tuple[int, ...]
     sizes: np.ndarray
     beta: np.ndarray
@@ -81,6 +95,21 @@ class PrevSummary:
         return cls(record.assignment, counts)
 
 
+class _SeatView:
+    """The live communities of an edge pass, laid out for seating draws."""
+
+    __slots__ = ("ids", "pos", "cnt", "bt", "w", "cum")
+
+    def __init__(self, rows: np.ndarray, ids: list[int], cnt: np.ndarray,
+                 bt: np.ndarray):
+        self.ids = ids
+        self.pos = dict(zip(rows.tolist(), range(len(ids))))
+        self.cnt = cnt
+        self.bt = bt
+        self.w = np.empty(len(ids))
+        self.cum = np.empty(len(ids))
+
+
 class SamplerState:
     """Mutable per-snapshot chain state.
 
@@ -103,7 +132,7 @@ class SamplerState:
         self.alloc = alloc if alloc is not None else CommunityIdAllocator()
         self.n_nodes = graph.n
         self.m = graph.m
-        self._edge_idx = graph.edge_array
+        self._ends = graph.edge_array.tolist()
         self._edge_pos = {e: a for a, e in enumerate(graph.edges)}
         self._prior_shape = np.full(self.n_nodes, hyper.gamma)
         # a brand-new community weighs alpha * gamma^2 / (gamma0 * (gamma0 + 1)),
@@ -122,6 +151,7 @@ class SamplerState:
         self._free: list[int] = []
         self._high = 0
         self._assign_row = np.full(self.m, -1, dtype=np.int64)
+        self._seat: _SeatView | None = None
 
         for r, c in (prev_counts or {}).items():
             if c > 0:
@@ -131,7 +161,7 @@ class SamplerState:
             row = self._row_of.get(r)
             if row is None:
                 row = self._acquire_row(r)
-            i, j = self._edge_idx[a]
+            i, j = self._ends[a]
             self._n[row] += 1
             self._endpoint[row, i] += 1
             self._endpoint[row, j] += 1
@@ -172,6 +202,7 @@ class SamplerState:
         self._endpoint[row, :] = 0.0
         self._beta[row, :] = 0.0
         self._row_of[cid] = row
+        self._seat = None
         return row
 
     def _release_row(self, row: int) -> None:
@@ -180,6 +211,7 @@ class SamplerState:
         self._n[row] = 0
         self._prev[row] = 0
         self._free.append(row)
+        self._seat = None
 
     def _live_rows(self) -> np.ndarray:
         return np.nonzero(self._ids[:self._high] >= 0)[0]
@@ -215,34 +247,49 @@ class SamplerState:
         row = int(self._assign_row[a])
         if row < 0:
             raise ValueError("edge %r is not currently assigned" % (self.graph.edges[a],))
-        i, j = self._edge_idx[a]
+        i, j = self._ends[a]
         self._n[row] -= 1
         self._endpoint[row, i] -= 1
         self._endpoint[row, j] -= 1
         self._assign_row[a] = -1
         if self._n[row] == 0 and self._prev[row] == 0:
             self._release_row(row)
+        elif self._seat is not None:
+            self._seat.cnt[self._seat.pos[row]] -= 1.0
 
     def _add_idx(self, a: int, cid: int) -> None:
         row = self._row_of[cid]
-        i, j = self._edge_idx[a]
+        i, j = self._ends[a]
         self._n[row] += 1
         self._endpoint[row, i] += 1
         self._endpoint[row, j] += 1
         self._assign_row[a] = row
+        if self._seat is not None:
+            self._seat.cnt[self._seat.pos[row]] += 1.0
 
-    def _seat_weights(self, a: int) -> tuple[np.ndarray, np.ndarray]:
-        """Live rows and their seating weights for removed edge index ``a``.
+    def _seat_view(self) -> _SeatView:
+        view = self._seat
+        if view is None:
+            rows = self._live_rows()
+            cnt = (self._n[rows] + self._prev[rows]).astype(np.float64)
+            bt = np.ascontiguousarray(self._beta[rows].T)
+            view = self._seat = _SeatView(rows, self._ids[rows].tolist(), cnt, bt)
+        return view
+
+    def _seat_weights(self, a: int) -> _SeatView:
+        """The seating view, its ``w`` holding the weights of every live
+        community for removed edge index ``a``.
 
         The weight of a live community is (current + carried size) times
         the edge likelihood, which covers the first-snapshot case (carried
         sizes all zero), communities born this snapshot, and carried-over
         ones in a single expression.
         """
-        i, j = self._edge_idx[a]
-        rows = self._live_rows()
-        w = (self._n[rows] + self._prev[rows]) * self._beta[rows, i] * self._beta[rows, j]
-        return rows, w
+        view = self._seat_view()
+        i, j = self._ends[a]
+        w = np.multiply(view.cnt, view.bt[i], out=view.w)
+        np.multiply(w, view.bt[j], out=w)
+        return view
 
     def edge_weights(self, e: EdgeKey) -> tuple[dict[int, float], float]:
         """Unnormalized seating weights the sampler would use for edge e
@@ -250,8 +297,8 @@ class SamplerState:
         a = self._edge_pos[e]
         if self._assign_row[a] >= 0:
             raise ValueError("edge %r must be removed before weighing" % (e,))
-        rows, w = self._seat_weights(a)
-        return {int(self._ids[r]): float(x) for r, x in zip(rows, w)}, self._new_w
+        view = self._seat_weights(a)
+        return dict(zip(view.ids, view.w.tolist())), self._new_w
 
     def draw_for_edge(self, a: int) -> int:
         """Draw a community for edge index ``a`` (currently removed).
@@ -259,16 +306,16 @@ class SamplerState:
         Choosing a brand-new community allocates a fresh id with a prior
         beta draw.
         """
-        rows, w = self._seat_weights(a)
-        total = float(w.sum()) + self._new_w
-        if not np.isfinite(total) or total <= 0.0:
+        view = self._seat_weights(a)
+        total = float(np.add.reduce(view.w)) + self._new_w
+        if not math.isfinite(total) or total <= 0.0:
             return self._create_community()
         u = self.rng.random() * total
-        cum = np.cumsum(w)
-        pos = int(np.searchsorted(cum, u, side="right"))
-        if pos >= len(rows):
+        cum = np.add.accumulate(view.w, out=view.cum)
+        pos = int(cum.searchsorted(u, side="right"))
+        if pos >= len(view.ids):
             return self._create_community()
-        return int(self._ids[rows[pos]])
+        return view.ids[pos]
 
     def _create_community(self) -> int:
         cid = self.alloc.fresh()
@@ -288,6 +335,7 @@ class SamplerState:
             draws[flat] = 1.0
             sums = draws.sum(axis=1, keepdims=True)
         self._beta[rows] = draws / sums
+        self._seat = None
 
     # ---------------------------------------------------------------- views
 
@@ -333,17 +381,17 @@ class SamplerState:
 
     def record(self, sweep_index: int) -> SampleRecord:
         """Copy the current state into a SampleRecord with its cover."""
-        rows = [row for row in self._live_rows() if self._n[row] > 0]
-        ids = tuple(int(self._ids[row]) for row in rows)
-        sizes = np.array([int(self._n[row]) for row in rows], dtype=np.int64)
-        beta = self._beta[rows].copy() if rows else np.zeros((0, self.n_nodes))
-        assign_ids = np.array([int(self._ids[self._assign_row[a]])
-                               for a in range(self.m)], dtype=np.int64)
+        live = self._live_rows()
+        rows = live[self._n[live] > 0]
+        ids = tuple(self._ids[rows].tolist())
+        sizes = self._n[rows]
+        beta = self._beta[rows]
+        assign_ids = self._ids[self._assign_row]
         u = soft_membership_from_arrays(self.graph.nodes, ids, sizes, beta, self.m)
         cover = extract_cover(u, self.hyper.theta)
         mod = extended_modularity(cover, self.graph)
         return SampleRecord(sweep_index, self.graph.edges, assign_ids,
-                            self.graph.nodes, ids, sizes, beta, cover, mod)
+                            ids, sizes, beta, cover, mod)
 
 
 def _dirichlet_row(rng: np.random.Generator, shape: np.ndarray) -> np.ndarray:
@@ -403,10 +451,10 @@ def init_assignments_carry(g: SnapshotGraph, prev_assignment: Mapping[EdgeKey, i
 def gibbs_sweep(state: SamplerState) -> SamplerState:
     """One full pass: every edge reassigned in shuffled order, then betas
     redrawn.  Mutates and returns the state."""
-    for a in state.rng.permutation(state.m):
-        state._remove_idx(int(a))
-        cid = state.draw_for_edge(int(a))
-        state._add_idx(int(a), cid)
+    for a in state.rng.permutation(state.m).tolist():
+        state._remove_idx(a)
+        cid = state.draw_for_edge(a)
+        state._add_idx(a, cid)
     state.resample_beta()
     return state
 
@@ -417,8 +465,8 @@ def run_snapshot(g: SnapshotGraph, prev: PrevSummary | None, hyper: HyperParams,
     rng = _as_rng(seed)
     alloc = alloc if alloc is not None else CommunityIdAllocator()
     if g.m == 0:
-        empty = SampleRecord(0, g.edges, np.empty(0, dtype=np.int64), g.nodes,
-                             (), np.empty(0, dtype=np.int64),
+        empty = SampleRecord(0, g.edges, np.empty(0, dtype=np.int64), (),
+                             np.empty(0, dtype=np.int64),
                              np.zeros((0, g.n)), Cover(), 0.0)
         return [empty]
     if prev is None:

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyncomm.graphs import DynamicNetwork, SnapshotGraph
 from dyncomm.membership import Cover
@@ -357,6 +359,96 @@ def test_run_snapshot_deterministic():
         assert np.array_equal(ra.assign_ids, rb.assign_ids)
         assert np.array_equal(ra.beta, rb.beta)
         assert ra.modularity == rb.modularity
+
+
+# ---------------------------------------------------------------- seating view
+
+
+def reference_sweep(state):
+    """One sweep with the seating weights gathered afresh for every edge:
+    live rows from ``np.nonzero``, fancy-indexed ``(n + prev) * beta_i *
+    beta_j``, ``w.sum()`` and ``np.cumsum``.  It moves edges and opens
+    tables through the state's own methods and draws from its rng in the
+    order ``gibbs_sweep`` does, so the two must agree bit for bit."""
+    ends = state.graph.edge_array
+    for a in state.rng.permutation(state.m):
+        a = int(a)
+        state._remove_idx(a)
+        i, j = ends[a]
+        rows = np.nonzero(state._ids[:state._high] >= 0)[0]
+        w = (state._n[rows] + state._prev[rows]) * state._beta[rows, i] * state._beta[rows, j]
+        total = float(w.sum()) + state._new_w
+        if not np.isfinite(total) or total <= 0.0:
+            cid = state._create_community()
+        else:
+            u = state.rng.random() * total
+            pos = int(np.searchsorted(np.cumsum(w), u, side="right"))
+            if pos >= len(rows):
+                cid = state._create_community()
+            else:
+                cid = int(state._ids[rows[pos]])
+        state._add_idx(a, cid)
+    state.resample_beta()
+
+
+def twin_states(g, labels, prev_counts, h, seed):
+    assign = {e: int(r) for e, r in zip(g.edges, labels)}
+    return [SamplerState(g, assign, prev_counts, h, np.random.default_rng(seed))
+            for _ in range(2)]
+
+
+def run_twins(fast, slow, sweeps):
+    """Sweep both states side by side, asserting they stay identical;
+    returns (tables opened, tables released, grew past the first cap)."""
+    cap, first_high = fast._cap, fast.alloc.high_water
+    released = 0
+    for _ in range(sweeps):
+        before = set(fast._row_of)
+        gibbs_sweep(fast)
+        reference_sweep(slow)
+        assert fast.G == slow.G
+        assert np.array_equal(fast._ids, slow._ids)
+        assert np.array_equal(fast._beta, slow._beta)
+        assert fast.alloc.high_water == slow.alloc.high_water
+        fast.check_consistency()
+        slow.check_consistency()
+        released += len(before - set(fast._row_of))
+    return fast.alloc.high_water - first_high, released, fast._cap > cap
+
+
+@st.composite
+def seating_cases(draw):
+    n = draw(st.integers(3, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=30, unique=True))
+    g = SnapshotGraph(range(n), sorted(edges))
+    labels = draw(st.lists(st.integers(0, 3), min_size=g.m, max_size=g.m))
+    prev_counts = draw(st.none() | st.dictionaries(st.integers(0, 6), st.integers(1, 5),
+                                                   max_size=3))
+    alpha = draw(st.sampled_from([0.1, 5.0, 50.0]))
+    gamma = draw(st.sampled_from([0.1, 0.5]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return g, labels, prev_counts, HyperParams(alpha=alpha, gamma=gamma), seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(seating_cases())
+def test_seating_view_sweep_matches_the_gather_form(case):
+    g, labels, prev_counts, h, seed = case
+    fast, slow = twin_states(g, labels, prev_counts, h, seed)
+    run_twins(fast, slow, sweeps=6)
+
+
+@pytest.mark.parametrize("prev_counts", [None, {0: 3, 9: 2}])
+def test_seating_view_twins_open_release_and_grow(prev_counts):
+    # a witness that the equivalence above covers newborn tables, released
+    # rows and a regrown array, with and without carried-over sizes
+    rng = np.random.default_rng(3)
+    g = random_graph(rng, 12, 40)
+    labels = rng.integers(0, 2, size=g.m)
+    fast, slow = twin_states(g, labels, prev_counts, HyperParams(alpha=50.0), seed=8)
+    opened, released, grew = run_twins(fast, slow, sweeps=8)
+    assert opened > 0 and released > 0 and grew
 
 
 # ---------------------------------------------------------------- snapshots
