@@ -16,12 +16,11 @@ from .benchgen import (Event, GenConfig, GenError, GenSchedule, GroundTruth,
 from .graphs import (DynamicNetwork, GraphFormatError, SnapshotGraph,
                      load_dynamic, save_dynamic, validate)
 from .membership import (Cover, SoftMembership, extract_cover, load_covers,
-                         save_covers, select_best, soft_membership)
+                         save_covers, select_best)
 from .metrics import (MetricReport, MetricRow, extended_modularity,
                       overlapping_nmi)
 from .model import (CommunityStats, HyperParams, collapsed_partition_score,
-                    crp_log_prob, crp_weights, edge_likelihood,
-                    new_group_weight, rcrp_weights)
+                    crp_log_prob)
 from .sampler import (PrevSummary, SampleRecord, SamplerState, SnapshotResult,
                       detect_dynamic, gibbs_sweep, init_assignments_carry,
                       init_assignments_first, run_snapshot)
@@ -34,11 +33,10 @@ __all__ = [
     "DynamicNetwork", "GraphFormatError", "SnapshotGraph", "load_dynamic",
     "save_dynamic", "validate",
     "Cover", "SoftMembership", "extract_cover", "load_covers", "save_covers",
-    "select_best", "soft_membership",
+    "select_best",
     "MetricReport", "MetricRow", "extended_modularity", "overlapping_nmi",
     "CommunityStats", "HyperParams", "collapsed_partition_score",
-    "crp_log_prob", "crp_weights", "edge_likelihood", "new_group_weight",
-    "rcrp_weights",
+    "crp_log_prob",
     "PrevSummary", "SampleRecord", "SamplerState", "SnapshotResult",
     "detect_dynamic", "gibbs_sweep", "init_assignments_carry",
     "init_assignments_first", "run_snapshot",

@@ -119,10 +119,6 @@ class DynamicNetwork:
             raise GraphFormatError("snapshot indices start at 1, got %d" % ts[0])
         self.snapshots: tuple[SnapshotGraph, ...] = snaps
 
-    @property
-    def t_count(self) -> int:
-        return len(self.snapshots)
-
     def __iter__(self) -> Iterator[SnapshotGraph]:
         return iter(self.snapshots)
 
@@ -131,13 +127,6 @@ class DynamicNetwork:
 
     def __getitem__(self, i: int) -> SnapshotGraph:
         return self.snapshots[i]
-
-
-def degree(g: SnapshotGraph, i: int) -> int:
-    """Number of edges incident to node ``i`` in ``g``."""
-    if i not in g.degrees:
-        raise ValueError("unknown node %r in snapshot t=%d" % (i, g.t))
-    return g.degrees[i]
 
 
 def validate(g: SnapshotGraph) -> list[str]:

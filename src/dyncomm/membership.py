@@ -12,8 +12,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import BetaMatrix, CommunityStats
-
 
 class SoftMembership:
     """Membership weights u over (community, node)."""
@@ -63,21 +61,11 @@ class Cover:
 def soft_membership_from_arrays(nodes: Sequence[int], ids: Sequence[int],
                                 sizes: np.ndarray, beta: np.ndarray,
                                 m: int) -> SoftMembership:
-    """u rows from community sizes and beta rows; engine-facing entry point."""
+    """u_ir = (n_r / M) * beta_ir for each community row; empty when M = 0."""
     if m < 1 or len(ids) == 0:
         return SoftMembership(nodes, (), np.empty((0, len(tuple(nodes)))))
     u = (np.asarray(sizes, dtype=np.float64)[:, None] / float(m)) * np.asarray(beta)
     return SoftMembership(nodes, ids, u)
-
-
-def soft_membership(beta: BetaMatrix, stats: CommunityStats, m: int) -> SoftMembership:
-    """u_ir = (n_r / M) * beta_ir over live communities; empty when M = 0."""
-    live = stats.live()
-    if m < 1 or not live:
-        return SoftMembership(beta.nodes, (), np.empty((0, len(beta.nodes))))
-    rows = np.stack([beta.vector(r) for r in live])
-    sizes = np.array([stats.n[r] for r in live], dtype=np.float64)
-    return soft_membership_from_arrays(beta.nodes, live, sizes, rows, m)
 
 
 def extract_cover(u: SoftMembership, theta: float) -> Cover:

@@ -7,19 +7,19 @@ weights.  Each community ``r`` carries a node-importance vector ``beta_r``
 on the simplex (Dirichlet ``gamma`` prior), and an edge (i, j) seated at
 ``r`` is generated with probability ``beta_ir * beta_jr``.
 
-Everything here is a pure function of its inputs.  The sampler engine has
-vectorized twins of the hot kernels; these map-based forms are the
-readable reference and are what the tests exercise directly.
+The module holds the hyper-parameters and the exact collapsed score of an
+edge partition (the seating prior times the Dirichlet-marginal likelihood),
+which the sampler's long-run behaviour is tested against.  The seating
+weights themselves are computed in one place, ``SamplerState`` in
+``sampler.py``.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
-import numpy as np
 from scipy.special import gammaln
 
 from .graphs import SnapshotGraph
@@ -94,125 +94,6 @@ class CommunityStats:
             ec[(v, r)] += 1
         return cls(dict(n), dict(ec))
 
-    @property
-    def m(self) -> int:
-        return sum(self.n.values())
-
-    def live(self) -> list[int]:
-        return sorted(r for r, c in self.n.items() if c > 0)
-
-    def endpoint_vector(self, r: int, nodes: Iterable[int]) -> np.ndarray:
-        """Endpoint counts of community r as a vector in ``nodes`` order."""
-        return np.array([self.endpoint_counts.get((i, r), 0) for i in nodes],
-                        dtype=np.float64)
-
-
-class BetaMatrix:
-    """Node-importance vectors, one per community, over a fixed node order."""
-
-    def __init__(self, nodes: Iterable[int], vectors: Mapping[int, np.ndarray]):
-        self.nodes: tuple[int, ...] = tuple(nodes)
-        self.vectors: dict[int, np.ndarray] = {}
-        for r, vec in vectors.items():
-            v = np.asarray(vec, dtype=np.float64)
-            if v.shape != (len(self.nodes),):
-                raise ValueError("beta vector for community %r has shape %r, "
-                                 "expected (%d,)" % (r, v.shape, len(self.nodes)))
-            if np.any(v < 0) or abs(v.sum() - 1.0) > 1e-9:
-                raise ValueError("beta vector for community %r is not on the simplex" % r)
-            self.vectors[int(r)] = v
-
-    @cached_property
-    def node_index(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.nodes)}
-
-    @property
-    def communities(self) -> list[int]:
-        return sorted(self.vectors)
-
-    def vector(self, r: int) -> np.ndarray:
-        if r not in self.vectors:
-            raise ValueError("unknown community %r" % (r,))
-        return self.vectors[r]
-
-    def value(self, r: int, i: int) -> float:
-        return float(self.vector(r)[self.node_index[i]])
-
-
-def gamma_vector(gamma, n_nodes: int) -> np.ndarray:
-    """Broadcast a scalar concentration to length ``n_nodes`` (vectors pass through)."""
-    vec = np.asarray(gamma, dtype=np.float64)
-    if vec.ndim == 0:
-        vec = np.full(n_nodes, float(vec))
-    if vec.shape != (n_nodes,):
-        raise ValueError("gamma has shape %r, expected scalar or (%d,)"
-                         % (vec.shape, n_nodes))
-    if np.any(vec <= 0):
-        raise ValueError("gamma entries must be positive")
-    return vec
-
-
-def crp_weights(stats: CommunityStats, alpha: float) -> tuple[dict[int, float], float]:
-    """Seating weights of the Chinese restaurant process.
-
-    Returns
-    -------
-    existing : dict
-        Community id -> weight ``n_r`` for every occupied community.
-    new : float
-        Weight ``alpha`` of opening a new community.  The caller
-        normalizes; the shared denominator cancels.
-    """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    existing = {r: float(c) for r, c in stats.n.items() if c > 0}
-    return existing, float(alpha)
-
-
-def rcrp_weights(prev: CommunityStats, cur: CommunityStats,
-                 alpha: float) -> tuple[dict[int, float], float]:
-    """Seating weights of the recurrent process at snapshots after the first.
-
-    A community occupied on the previous snapshot keeps its old popularity:
-    its weight is ``n_{r,prev} + n_{r,cur}`` (so it stays available even
-    with no current edges).  A community born this snapshot weighs
-    ``n_{r,cur}`` alone, and a brand-new one weighs ``alpha``.  With an
-    empty ``prev`` this reduces exactly to ``crp_weights`` on ``cur``.
-    """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    existing: dict[int, float] = {}
-    for r, c in prev.n.items():
-        if c > 0:
-            existing[r] = float(c) + float(cur.n.get(r, 0))
-    for r, c in cur.n.items():
-        if c > 0 and r not in existing:
-            existing[r] = float(c)
-    return existing, float(alpha)
-
-
-def edge_likelihood(beta: BetaMatrix, r: int, i: int, j: int) -> float:
-    """Probability ``beta_ir * beta_jr`` of edge (i, j) under community r."""
-    return beta.value(r, i) * beta.value(r, j)
-
-
-def new_group_weight(gamma, n_nodes: int, alpha: float, i: int, j: int) -> float:
-    """Marginal seating weight of a brand-new community for edge (i, j).
-
-    Integrating the edge likelihood over the Dirichlet prior gives the
-    ratio of two Dirichlet normalizers, which collapses to
-
-        alpha * gamma_i * gamma_j / (gamma_0 * (gamma_0 + 1)),
-
-    with ``gamma_0`` the sum of all concentrations.  ``i`` and ``j`` are
-    positions in the node order (used only when gamma is a vector).
-    """
-    if i == j:
-        raise ValueError("self-loop (%d, %d): new-community weight undefined" % (i, j))
-    vec = gamma_vector(gamma, n_nodes)
-    g0 = float(vec.sum())
-    return float(alpha) * float(vec[i]) * float(vec[j]) / (g0 * (g0 + 1.0))
-
 
 def crp_log_prob(sizes: Iterable[int], alpha: float) -> float:
     """Log probability of a partition under the exchangeable seating process.
@@ -244,16 +125,14 @@ def collapsed_partition_score(assignment: Mapping[EdgeKey, int],
         if (u, v) not in assignment:
             raise ValueError("edge (%d, %d) is unassigned" % (u, v))
     stats = CommunityStats.from_assignment(assignment)
-    gvec = gamma_vector(hyper.gamma, graph.n)
-    idx = graph.node_index
-    g0 = float(gvec.sum())
+    gamma = hyper.gamma
+    g0 = graph.n * gamma
     score = crp_log_prob(stats.n.values(), hyper.alpha)
-    per_node: dict[int, list[tuple[int, int]]] = {}
-    for (i, r), c in stats.endpoint_counts.items():
-        per_node.setdefault(r, []).append((i, c))
+    per_community: dict[int, list[int]] = {}
+    for (_, r), c in stats.endpoint_counts.items():
+        per_community.setdefault(r, []).append(c)
     for r, n_r in stats.n.items():
-        for i, c in per_node.get(r, []):
-            gi = gvec[idx[i]]
-            score += float(gammaln(gi + c) - gammaln(gi))
+        for c in per_community[r]:
+            score += float(gammaln(gamma + c) - gammaln(gamma))
         score -= float(gammaln(g0 + 2 * n_r) - gammaln(g0))
     return score

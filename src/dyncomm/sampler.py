@@ -37,7 +37,7 @@ import numpy as np
 from .graphs import DynamicNetwork, SnapshotGraph
 from .membership import Cover, extract_cover, select_best, soft_membership_from_arrays
 from .metrics import extended_modularity
-from .model import BetaMatrix, CommunityStats, EdgeKey, HyperParams
+from .model import EdgeKey, HyperParams
 
 
 class CommunityIdAllocator:
@@ -153,9 +153,10 @@ class SamplerState:
         self._assign_row = np.full(self.m, -1, dtype=np.int64)
         self._seat: _SeatView | None = None
 
-        for r, c in (prev_counts or {}).items():
-            if c > 0:
-                self._acquire_row(int(r), prev=int(c))
+        # the carried sizes as given, so check_consistency can recount _prev
+        self._carried = {int(r): int(c) for r, c in (prev_counts or {}).items() if c > 0}
+        for r, c in self._carried.items():
+            self._acquire_row(r, prev=c)
         for a, e in enumerate(graph.edges):
             r = int(assignment[e])
             row = self._row_of.get(r)
@@ -235,13 +236,6 @@ class SamplerState:
     def remove_edge(self, e: EdgeKey) -> None:
         """Take edge e out of its community (leave-one-out form)."""
         self._remove_idx(self._edge_pos[e])
-
-    def add_edge(self, e: EdgeKey, cid: int) -> None:
-        """Seat edge e at community cid (creating a row for it if needed)."""
-        if cid not in self._row_of:
-            row = self._acquire_row(int(cid))
-            self._beta[row] = self._prior_beta()
-        self._add_idx(self._edge_pos[e], int(cid))
 
     def _remove_idx(self, a: int) -> None:
         row = int(self._assign_row[a])
@@ -345,39 +339,48 @@ class SamplerState:
                 for a, e in enumerate(self.graph.edges)}
 
     @property
-    def B(self) -> BetaMatrix:
-        return BetaMatrix(self.graph.nodes,
-                          {int(self._ids[row]): self._beta[row].copy()
-                           for row in self._live_rows()})
-
-    @property
-    def stats(self) -> CommunityStats:
-        out = CommunityStats()
-        for row in self._live_rows():
-            if self._n[row] == 0:
-                continue
-            cid = int(self._ids[row])
-            out.n[cid] = int(self._n[row])
-            for b in np.nonzero(self._endpoint[row])[0]:
-                out.endpoint_counts[(self.graph.nodes[b], cid)] = int(self._endpoint[row, b])
-        return out
-
-    @property
-    def prev_stats(self) -> CommunityStats:
-        out = CommunityStats()
-        for row in self._live_rows():
-            if self._prev[row] > 0:
-                out.n[int(self._ids[row])] = int(self._prev[row])
-        return out
+    def B(self) -> dict[int, np.ndarray]:
+        """Community id -> a copy of its beta row, for every live community."""
+        return {int(self._ids[row]): self._beta[row].copy()
+                for row in self._live_rows()}
 
     def check_consistency(self) -> None:
-        """Recompute statistics from the assignment and compare with the
-        incrementally maintained arrays; raises AssertionError on drift."""
-        fresh = CommunityStats.from_assignment(self.G)
-        assert fresh.n == self.stats.n, "community sizes drifted"
-        assert fresh.endpoint_counts == self.stats.endpoint_counts, \
-            "endpoint counts drifted"
-        assert sum(fresh.n.values()) == self.m
+        """Recount the state from the edge seating and the carried sizes it
+        was built with, and compare every maintained array with the recount;
+        raises AssertionError on drift."""
+        high, rows = self._high, self._assign_row
+        ids = self._ids[:high]
+        live = np.nonzero(ids >= 0)[0]
+        assert np.all((rows >= 0) & (rows < high)), "an edge is unseated"
+        assert np.all(ids[rows] >= 0), "an edge sits on a free row"
+        assert np.array_equal(self._n[:high], np.bincount(rows, minlength=high)), \
+            "community sizes drifted"
+        ends = self.graph.edge_array
+        endpoint = np.zeros((high, self.n_nodes))
+        np.add.at(endpoint, (rows, ends[:, 0]), 1.0)
+        np.add.at(endpoint, (rows, ends[:, 1]), 1.0)
+        assert np.array_equal(self._endpoint[:high], endpoint), "endpoint counts drifted"
+        prev = np.zeros(high, dtype=np.int64)
+        for r, c in self._carried.items():
+            assert r in self._row_of, "carried community %d was released" % r
+            prev[self._row_of[r]] = c
+        assert np.array_equal(self._prev[:high], prev), "carried sizes drifted"
+        assert np.all(self._n[live] + prev[live] > 0), "an empty row is still live"
+        assert self._row_of == dict(zip(ids[live].tolist(), live.tolist())) \
+            and len(self._row_of) == len(live), "row map drifted from the ids"
+        assert sorted(self._free) == np.nonzero(ids < 0)[0].tolist(), \
+            "free list drifted from the ids"
+        beta = self._beta[live]
+        assert np.all(beta >= 0) and np.allclose(beta.sum(axis=1), 1.0, rtol=0, atol=1e-9), \
+            "a live beta row is off the simplex"
+        view = self._seat
+        if view is not None:
+            assert view.ids == ids[live].tolist(), "seating view ids drifted"
+            assert view.pos == dict(zip(live.tolist(), range(len(live)))), \
+                "seating view positions drifted"
+            assert np.array_equal(view.cnt, (self._n[live] + prev[live]).astype(np.float64)), \
+                "seating view sizes drifted"
+            assert np.array_equal(view.bt, beta.T), "seating view betas drifted"
 
     def record(self, sweep_index: int) -> SampleRecord:
         """Copy the current state into a SampleRecord with its cover."""

@@ -103,7 +103,7 @@ def test_criterion_2_dirichlet_conditional_mean(capsys):
     draws = []
     for _ in range(10_000):
         state.resample_beta()
-        draws.append(state.B.vector(0))
+        draws.append(state.B[0])
     draws = np.stack(draws)
     err = float(np.abs(draws.mean(axis=0) - analytic).max())
     ok = err < 0.01

@@ -5,7 +5,6 @@ from dyncomm.graphs import (
     DynamicNetwork,
     GraphFormatError,
     SnapshotGraph,
-    degree,
     edge_key,
     load_dynamic,
     save_dynamic,
@@ -33,7 +32,7 @@ def test_edge_key_rejects_self_loop():
 def test_load_two_edge_path(tmp_path):
     p = write(tmp_path, "1 0 1\n1 1 2\n")
     net = load_dynamic(p)
-    assert net.t_count == 1
+    assert len(net) == 1
     g = net[0]
     assert g.nodes == (0, 1, 2)
     assert g.edges == ((0, 1), (1, 2))
@@ -86,7 +85,7 @@ def test_load_node_declaration_keeps_isolated_node(tmp_path):
     p = write(tmp_path, "1 0 1\n1 n 9\n")
     g = load_dynamic(p)[0]
     assert 9 in g.nodes
-    assert degree(g, 9) == 0
+    assert g.degrees[9] == 0
 
 
 def test_load_keeps_snapshot_labels_with_gap(tmp_path):
@@ -105,14 +104,12 @@ def test_load_comments_and_blank_lines(tmp_path):
 
 def test_degree_triangle_star_isolated():
     tri = SnapshotGraph([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
-    assert [degree(tri, i) for i in (0, 1, 2)] == [2, 2, 2]
+    assert [tri.degrees[i] for i in (0, 1, 2)] == [2, 2, 2]
     star = SnapshotGraph(range(4), [(0, 1), (0, 2), (0, 3)])
-    assert degree(star, 0) == 3
-    assert degree(star, 2) == 1
+    assert star.degrees[0] == 3
+    assert star.degrees[2] == 1
     iso = SnapshotGraph([0, 1, 5], [(0, 1)])
-    assert degree(iso, 5) == 0
-    with pytest.raises(ValueError):
-        degree(iso, 7)
+    assert iso.degrees[5] == 0
 
 
 def test_degree_sum_is_twice_edge_count():
@@ -177,7 +174,7 @@ def test_save_load_round_trip(tmp_path):
     p = tmp_path / "rt.txt"
     save_dynamic(net, p)
     back = load_dynamic(p)
-    assert back.t_count == net.t_count
+    assert len(back) == len(net)
     for g0, g1 in zip(net, back):
         assert g1.t == g0.t
         assert g1.nodes == g0.nodes

@@ -2,6 +2,8 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyncomm.membership import (
     Cover,
@@ -10,25 +12,22 @@ from dyncomm.membership import (
     load_covers,
     save_covers,
     select_best,
-    soft_membership,
     soft_membership_from_arrays,
 )
-from dyncomm.model import BetaMatrix, CommunityStats
 
 Rec = namedtuple("Rec", "modularity sweep_index")
 
 
 def test_soft_membership_direct_product():
-    b = BetaMatrix([0, 1], {3: np.array([0.4, 0.6])})
-    stats = CommunityStats({3: 5})
-    u = soft_membership(b, stats, m=10)
+    u = soft_membership_from_arrays([0, 1], [3], np.array([5]),
+                                    np.array([[0.4, 0.6]]), m=10)
     assert u.value(0, 3) == pytest.approx(0.2)
     assert u.value(1, 3) == pytest.approx(0.3)
 
 
 def test_soft_membership_zero_beta_gives_zero():
-    b = BetaMatrix([0, 1], {0: np.array([0.0, 1.0])})
-    u = soft_membership(b, CommunityStats({0: 4}), m=4)
+    u = soft_membership_from_arrays([0, 1], [0], np.array([4]),
+                                    np.array([[0.0, 1.0]]), m=4)
     assert u.value(0, 0) == 0.0
 
 
@@ -38,15 +37,15 @@ def test_soft_membership_rows_sum_to_size_share():
         n = 6
         sizes = {r: int(c) for r, c in enumerate(rng.integers(1, 9, size=3))}
         m = sum(sizes.values())
-        b = BetaMatrix(range(n), {r: rng.dirichlet(np.ones(n)) for r in sizes})
-        u = soft_membership(b, CommunityStats(sizes), m)
+        beta = np.stack([rng.dirichlet(np.ones(n)) for _ in sizes])
+        u = soft_membership_from_arrays(range(n), list(sizes), np.array(list(sizes.values())),
+                                        beta, m)
         for a, r in enumerate(u.ids):
             assert u.u[a].sum() == pytest.approx(sizes[r] / m)
 
 
 def test_soft_membership_empty_when_no_edges():
-    b = BetaMatrix([0, 1], {})
-    u = soft_membership(b, CommunityStats({}), m=0)
+    u = soft_membership_from_arrays([0, 1], (), np.empty(0), np.empty((0, 2)), m=0)
     assert u.ids == ()
     assert extract_cover(u, 0.7).communities == {}
 
@@ -138,6 +137,31 @@ def test_cover_file_round_trip(tmp_path):
     for t in covers:
         assert back[t].communities == covers[t].communities
         assert back[t].weights == covers[t].weights
+
+
+@st.composite
+def cover_sets(draw):
+    covers = {}
+    for t in draw(st.sets(st.integers(1, 9), min_size=1, max_size=3)):
+        communities = draw(st.dictionaries(
+            st.integers(0, 50), st.sets(st.integers(0, 40), min_size=1, max_size=6),
+            min_size=1, max_size=4))
+        weights = {(i, r): draw(st.floats(0.0, 1.0, exclude_min=True))
+                   for r, members in communities.items() for i in members}
+        covers[t] = Cover(communities, weights)
+    return covers
+
+
+@settings(max_examples=60, deadline=None)
+@given(covers=cover_sets())
+def test_cover_file_round_trips_random_covers(tmp_path_factory, covers):
+    p = tmp_path_factory.getbasetemp() / "random_covers.txt"
+    save_covers(p, covers)
+    back = load_covers(p)
+    assert set(back) == set(covers)
+    for t, cover in covers.items():
+        assert back[t].communities == cover.communities
+        assert back[t].weights == cover.weights
 
 
 def test_cover_file_is_sorted_and_defaults_weight(tmp_path):

@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 from dyncomm.graphs import DynamicNetwork, SnapshotGraph
 from dyncomm.membership import Cover
 from dyncomm.metrics import overlapping_nmi
-from dyncomm.model import (
-    HyperParams,
-    collapsed_partition_score,
-    crp_weights,
-    edge_likelihood,
-    new_group_weight,
-    rcrp_weights,
-)
+from dyncomm.model import CommunityStats, HyperParams, collapsed_partition_score
 from dyncomm.sampler import (
     CommunityIdAllocator,
     PrevSummary,
@@ -26,6 +19,7 @@ from dyncomm.sampler import (
     init_assignments_first,
     run_snapshot,
 )
+from reference import crp_weights, edge_likelihood, new_group_weight, rcrp_weights
 
 
 def random_graph(rng, n, tries):
@@ -92,7 +86,7 @@ def test_init_carry_empty_prev_falls_back_to_fresh_community():
 
 
 def start_beta(g, assignment):
-    """The beta matrix a fresh SamplerState starts from."""
+    """The beta rows (id -> row) a fresh SamplerState starts from."""
     return SamplerState(g, assignment, None, HyperParams(),
                         np.random.default_rng(0)).B
 
@@ -100,16 +94,16 @@ def start_beta(g, assignment):
 def test_init_beta_mle_values():
     tri = SnapshotGraph(range(3), [(0, 1), (0, 2), (1, 2)])
     b = start_beta(tri, {e: 0 for e in tri.edges})
-    assert np.allclose(b.vector(0), [1 / 3, 1 / 3, 1 / 3])
+    assert np.allclose(b[0], [1 / 3, 1 / 3, 1 / 3])
 
     star = SnapshotGraph(range(4), [(0, 1), (0, 2), (0, 3)])
     b = start_beta(star, {e: 2 for e in star.edges})
-    assert b.value(2, 0) == pytest.approx(0.5)
-    assert b.value(2, 1) == pytest.approx(1 / 6)
+    assert b[2][0] == pytest.approx(0.5)
+    assert b[2][1] == pytest.approx(1 / 6)
 
     single = SnapshotGraph(range(2), [(0, 1)])
     b = start_beta(single, {(0, 1): 9})
-    assert np.allclose(b.vector(9), [0.5, 0.5])
+    assert np.allclose(b[9], [0.5, 0.5])
 
 
 def test_init_beta_mle_rows_sum_to_one():
@@ -117,15 +111,15 @@ def test_init_beta_mle_rows_sum_to_one():
     g = random_graph(rng, 12, 40)
     assign = {e: int(rng.integers(0, 4)) for e in g.edges}
     b = start_beta(g, assign)
-    for r in b.communities:
-        assert b.vector(r).sum() == pytest.approx(1.0, abs=1e-12)
+    for vec in b.values():
+        assert vec.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- beta draws
 
 
 def resampled_betas(state, draws):
-    """``draws`` successive posterior beta matrices of one state."""
+    """``draws`` successive posterior beta rows (id -> row) of one state."""
     out = []
     for _ in range(draws):
         state.resample_beta()
@@ -138,7 +132,7 @@ def test_sample_beta_posterior_mean():
     g = SnapshotGraph(range(4), [(0, 1), (0, 2)])
     state = SamplerState(g, {e: 5 for e in g.edges}, None,
                          HyperParams(gamma=0.1), np.random.default_rng(6))
-    draws = [b.value(5, 0) for b in resampled_betas(state, 10_000)]
+    draws = [b[5][0] for b in resampled_betas(state, 10_000)]
     assert np.mean(draws) == pytest.approx(2.1 / 4.4, abs=0.01)
 
 
@@ -146,7 +140,7 @@ def test_sample_beta_prior_dominates_for_huge_gamma():
     g = SnapshotGraph(range(4), [(0, 1)])
     state = SamplerState(g, {(0, 1): 0}, None, HyperParams(gamma=1e6),
                          np.random.default_rng(7))
-    draws = np.array([b.vector(0) for b in resampled_betas(state, 2000)])
+    draws = np.array([b[0] for b in resampled_betas(state, 2000)])
     assert np.allclose(draws.mean(axis=0), 0.25, atol=0.01)
 
 
@@ -156,9 +150,9 @@ def test_sample_beta_rows_on_simplex():
     state = SamplerState(g, assign, None, HyperParams(gamma=0.1),
                          np.random.default_rng(8))
     for b in resampled_betas(state, 50):
-        assert b.communities == [0, 1]
-        for r in b.communities:
-            assert abs(b.vector(r).sum() - 1.0) < 1e-9
+        assert sorted(b) == [0, 1]
+        for vec in b.values():
+            assert abs(vec.sum() - 1.0) < 1e-9
 
 
 # ---------------------------------------------------------------- conditional draws
@@ -255,18 +249,19 @@ def test_edge_weights_agree_with_model_kernels():
         prev_counts = {0: 2, 7: 3} if dynamic else None
         state = SamplerState(g, assign, prev_counts, h, rng)
         probe = g.edges[int(rng.integers(0, g.m))]
+        seating = state.G
         state.remove_edge(probe)
         existing, new = state.edge_weights(probe)
 
-        beta = state.B
-        stats = state.stats
+        del seating[probe]
+        stats = CommunityStats.from_assignment(seating)
         if dynamic:
-            seat, seat_new = rcrp_weights(state.prev_stats, stats, h.alpha)
+            seat, seat_new = rcrp_weights(CommunityStats(prev_counts), stats, h.alpha)
         else:
             seat, seat_new = crp_weights(stats, h.alpha)
-        u, v = probe
-        expected = {r: w * edge_likelihood(beta, r, u, v) for r, w in seat.items()}
-        iu, iv = g.node_index[u], g.node_index[v]
+        beta = state.B
+        iu, iv = (g.node_index[x] for x in probe)
+        expected = {r: w * edge_likelihood(beta, r, iu, iv) for r, w in seat.items()}
         expected_new = new_group_weight(h.gamma, g.n, h.alpha, iu, iv)
         assert set(existing) == set(expected)
         for r in expected:
@@ -279,23 +274,25 @@ def test_edge_weights_agree_with_model_kernels():
 
 def test_leave_one_out_restores_stats():
     g, state, h = make_static_state()
-    before = state.stats
+    before = state._n.copy(), state._endpoint.copy()
     state.remove_edge((0, 1))
-    state.add_edge((0, 1), 200)
-    after = state.stats
-    assert before.n == after.n
-    assert before.endpoint_counts == after.endpoint_counts
+    state._add_idx(state._edge_pos[(0, 1)], 200)
+    assert np.array_equal(state._n, before[0])
+    assert np.array_equal(state._endpoint, before[1])
+    state.check_consistency()
 
 
 def test_leave_one_out_restores_stats_after_row_retirement():
     g = SnapshotGraph(range(4), [(0, 1), (2, 3)])
     h = HyperParams()
     state = SamplerState(g, {(0, 1): 0, (2, 3): 1}, None, h, np.random.default_rng(4))
-    before = state.stats
+    before = CommunityStats.from_assignment(state.G)
     state.remove_edge((2, 3))  # community 1 dies with its only edge
-    assert 1 not in state.stats.n
-    state.add_edge((2, 3), 1)
-    after = state.stats
+    assert 1 not in state._row_of
+    state._beta[state._acquire_row(1)] = state._prior_beta()
+    state._add_idx(state._edge_pos[(2, 3)], 1)
+    state.check_consistency()
+    after = CommunityStats.from_assignment(state.G)
     assert before.n == after.n
     assert before.endpoint_counts == after.endpoint_counts
 
@@ -321,7 +318,36 @@ def test_sweep_consistency_with_carryover():
     for _ in range(5):
         gibbs_sweep(state)
         state.check_consistency()
-        assert 2 * state.m == int(sum(state.stats.n.values()) * 2)
+        assert int(state._n.sum()) == state.m
+
+
+def corrupt(state, kind):
+    row = state._row_of[state._seat.ids[0]]
+    if kind == "view size":
+        state._seat.cnt[0] += 1.0
+    elif kind == "view beta":
+        state._seat.bt[0, 0] += 0.125
+    elif kind == "carried size":
+        state._prev[row] += 4
+    elif kind == "stale row map":
+        state._row_of[state.alloc.high_water] = row
+    elif kind == "beta off simplex":
+        state._beta[row] *= 1.5
+
+
+@pytest.mark.parametrize("kind", ["view size", "view beta", "carried size",
+                                  "stale row map", "beta off simplex"])
+def test_check_consistency_catches_each_corruption(kind):
+    rng = np.random.default_rng(29)
+    g = random_graph(rng, 12, 50)
+    assign = {e: int(rng.integers(0, 3)) for e in g.edges}
+    state = SamplerState(g, assign, {0: 5, 1: 2, 9: 4}, HyperParams(), rng)
+    gibbs_sweep(state)
+    state._seat_view()
+    state.check_consistency()
+    corrupt(state, kind)
+    with pytest.raises(AssertionError):
+        state.check_consistency()
 
 
 def test_previous_only_community_beta_resampled():
@@ -329,9 +355,9 @@ def test_previous_only_community_beta_resampled():
     h = HyperParams()
     rng = np.random.default_rng(21)
     state = SamplerState(g, {(0, 1): 50}, {50: 1, 60: 5}, h, rng)
-    assert 60 in state.B.communities
+    assert 60 in state.B
     state.resample_beta()
-    vec = state.B.vector(60)
+    vec = state.B[60]
     assert vec.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -410,6 +436,7 @@ def run_twins(fast, slow, sweeps):
         assert np.array_equal(fast._ids, slow._ids)
         assert np.array_equal(fast._beta, slow._beta)
         assert fast.alloc.high_water == slow.alloc.high_water
+        fast._seat_view()  # resample_beta dropped it; rebuilt, it is checked too
         fast.check_consistency()
         slow.check_consistency()
         released += len(before - set(fast._row_of))
