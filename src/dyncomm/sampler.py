@@ -7,24 +7,19 @@ vector from its Dirichlet posterior.  On snapshots after the first the
 seating weights also carry the previous snapshot's community sizes, which
 is what lets community ids persist through time.
 
-The state is array-backed: one row per live community holding its edge
-count, carried-over count, per-node endpoint counts and beta vector.  Rows
-are recycled through a free list while community ids stay monotone and are
-never reused.
+The state is array-backed.  Each live community owns one row index into
+arrays of ids, carried-over sizes and seat counts (current plus carried
+size, as a float), and one column of the nodes-by-rows beta array, so that
+one node's betas over all rows are contiguous.  Rows are recycled through
+a free list while community ids stay monotone and are never reused.
 
-Within an edge pass beta is fixed, so the state keeps a seating view of its
-live communities: their rows in ascending order, their current plus carried
-sizes as floats, their betas transposed to a contiguous node-by-community
-array, a row-to-position map and two scratch buffers.  It is built on the
-first draw that needs it, moving an edge updates one of its sizes in place,
-and it is dropped whenever the live set or beta changes (a row acquired or
-released, beta redrawn), so the next draw rebuilds it
-with every newborn's prior beta.  A draw then costs a few numpy calls on
-the view.  The weights are multiplied in the same order as the plain
-``(n + prev) * beta_i * beta_j`` gather and summed and accumulated by the
-same reductions (``np.add.reduce`` is ``sum``, ``np.add.accumulate`` is
-``cumsum``), and the random stream is consumed identically, so every draw,
-and every output byte, is what the gather form gives.
+A seating draw reads these arrays directly: the weights of every row below
+the high-water mark are ``seats * beta_i * beta_j``, and a free row has
+seat count 0, so it weighs 0 and the running sum can never stop on it.
+Moving an edge writes only its row in the seating and one seat count.  The
+per-node endpoint counts and the current sizes are recounted from the
+seating with ``np.bincount`` where they are read: the maximum-likelihood
+start, and the beta redraw once per sweep.
 """
 from __future__ import annotations
 
@@ -95,21 +90,6 @@ class PrevSummary:
         return cls(record.assignment, counts)
 
 
-class _SeatView:
-    """The live communities of an edge pass, laid out for seating draws."""
-
-    __slots__ = ("ids", "pos", "cnt", "bt", "w", "cum")
-
-    def __init__(self, rows: np.ndarray, ids: list[int], cnt: np.ndarray,
-                 bt: np.ndarray):
-        self.ids = ids
-        self.pos = dict(zip(rows.tolist(), range(len(ids))))
-        self.cnt = cnt
-        self.bt = bt
-        self.w = np.empty(len(ids))
-        self.cum = np.empty(len(ids))
-
-
 class SamplerState:
     """Mutable per-snapshot chain state.
 
@@ -140,51 +120,37 @@ class SamplerState:
         g0 = self.n_nodes * hyper.gamma
         self._new_w = hyper.alpha * hyper.gamma * hyper.gamma / (g0 * (g0 + 1.0))
 
-        cap = max(8, 2 * (len(set(assignment.values())) + len(prev_counts or {})))
+        labels = [int(assignment[e]) for e in graph.edges]
+        cap = max(8, 2 * (len(set(labels)) + len(prev_counts or {})))
         self._cap = cap
         self._ids = np.full(cap, -1, dtype=np.int64)
-        self._n = np.zeros(cap, dtype=np.int64)
         self._prev = np.zeros(cap, dtype=np.int64)
-        self._endpoint = np.zeros((cap, self.n_nodes), dtype=np.float64)
-        self._beta = np.zeros((cap, self.n_nodes), dtype=np.float64)
+        self._seats = np.zeros(cap, dtype=np.float64)
+        self._beta = np.zeros((self.n_nodes, cap), dtype=np.float64)
         self._row_of: dict[int, int] = {}
         self._free: list[int] = []
         self._high = 0
-        self._assign_row = np.full(self.m, -1, dtype=np.int64)
-        self._seat: _SeatView | None = None
 
         # the carried sizes as given, so check_consistency can recount _prev
         self._carried = {int(r): int(c) for r, c in (prev_counts or {}).items() if c > 0}
         for r, c in self._carried.items():
             self._acquire_row(r, prev=c)
-        for a, e in enumerate(graph.edges):
-            r = int(assignment[e])
-            row = self._row_of.get(r)
-            if row is None:
-                row = self._acquire_row(r)
-            i, j = self._ends[a]
-            self._n[row] += 1
-            self._endpoint[row, i] += 1
-            self._endpoint[row, j] += 1
-            self._assign_row[a] = row
+        for r in dict.fromkeys(labels):
+            if r not in self._row_of:
+                self._acquire_row(r)
+        self._assign_row = np.array([self._row_of[r] for r in labels], dtype=np.int64)
+        self._seats[:self._high] += np.bincount(self._assign_row, minlength=self._high)
         self._init_beta()
 
     # ---------------------------------------------------------------- rows
 
     def _grow(self) -> None:
-        new_cap = 2 * self._cap
-        for name in ("_ids", "_n", "_prev"):
-            old = getattr(self, name)
-            fresh = np.full(new_cap, -1, dtype=np.int64) if name == "_ids" \
-                else np.zeros(new_cap, dtype=np.int64)
-            fresh[:self._cap] = old
-            setattr(self, name, fresh)
-        for name in ("_endpoint", "_beta"):
-            old = getattr(self, name)
-            fresh = np.zeros((new_cap, self.n_nodes), dtype=np.float64)
-            fresh[:self._cap] = old
-            setattr(self, name, fresh)
-        self._cap = new_cap
+        cap = self._cap
+        self._ids = np.concatenate([self._ids, np.full(cap, -1, dtype=np.int64)])
+        self._prev = np.concatenate([self._prev, np.zeros(cap, dtype=np.int64)])
+        self._seats = np.concatenate([self._seats, np.zeros(cap)])
+        self._beta = np.concatenate([self._beta, np.zeros((self.n_nodes, cap))], axis=1)
+        self._cap = 2 * cap
 
     def _acquire_row(self, cid: int, prev: int = 0) -> int:
         # ids flowing in from outside (loaded assignments, carried summaries)
@@ -198,34 +164,41 @@ class SamplerState:
             row = self._high
             self._high += 1
         self._ids[row] = cid
-        self._n[row] = 0
         self._prev[row] = prev
-        self._endpoint[row, :] = 0.0
-        self._beta[row, :] = 0.0
+        self._seats[row] = prev
+        self._beta[:, row] = 0.0
         self._row_of[cid] = row
-        self._seat = None
         return row
 
     def _release_row(self, row: int) -> None:
+        # only rows whose seat count has reached 0 are released, so a free
+        # row weighs 0 in every draw
         del self._row_of[int(self._ids[row])]
         self._ids[row] = -1
-        self._n[row] = 0
         self._prev[row] = 0
         self._free.append(row)
-        self._seat = None
 
     def _live_rows(self) -> np.ndarray:
         return np.nonzero(self._ids[:self._high] >= 0)[0]
+
+    def _node_counts(self) -> np.ndarray:
+        """Recount, from the seating, how many of each row's edges touch each
+        node: a (rows, nodes) array over rows below the high-water mark."""
+        n, high = self.n_nodes, self._high
+        flat = (self._assign_row[:, None] * n + self.graph.edge_array).ravel()
+        return np.bincount(flat, minlength=high * n).reshape(high, n)
 
     def _init_beta(self) -> None:
         # maximum-likelihood start beta_ir = N_ir / (2 n_r) for communities
         # that own edges; carried communities with no current edges start
         # from a prior draw
+        n = np.bincount(self._assign_row, minlength=self._high)
+        endpoint = self._node_counts()
         for row in self._live_rows():
-            if self._n[row] > 0:
-                self._beta[row] = self._endpoint[row] / (2.0 * self._n[row])
+            if n[row] > 0:
+                self._beta[:, row] = endpoint[row] / (2.0 * n[row])
             else:
-                self._beta[row] = self._prior_beta()
+                self._beta[:, row] = self._prior_beta()
 
     def _prior_beta(self) -> np.ndarray:
         """One node-importance vector drawn from the Dirichlet(gamma) prior."""
@@ -241,49 +214,30 @@ class SamplerState:
         row = int(self._assign_row[a])
         if row < 0:
             raise ValueError("edge %r is not currently assigned" % (self.graph.edges[a],))
-        i, j = self._ends[a]
-        self._n[row] -= 1
-        self._endpoint[row, i] -= 1
-        self._endpoint[row, j] -= 1
         self._assign_row[a] = -1
-        if self._n[row] == 0 and self._prev[row] == 0:
+        self._seats[row] -= 1.0
+        if self._seats[row] == 0.0:
             self._release_row(row)
-        elif self._seat is not None:
-            self._seat.cnt[self._seat.pos[row]] -= 1.0
 
     def _add_idx(self, a: int, cid: int) -> None:
         row = self._row_of[cid]
-        i, j = self._ends[a]
-        self._n[row] += 1
-        self._endpoint[row, i] += 1
-        self._endpoint[row, j] += 1
         self._assign_row[a] = row
-        if self._seat is not None:
-            self._seat.cnt[self._seat.pos[row]] += 1.0
+        self._seats[row] += 1.0
 
-    def _seat_view(self) -> _SeatView:
-        view = self._seat
-        if view is None:
-            rows = self._live_rows()
-            cnt = (self._n[rows] + self._prev[rows]).astype(np.float64)
-            bt = np.ascontiguousarray(self._beta[rows].T)
-            view = self._seat = _SeatView(rows, self._ids[rows].tolist(), cnt, bt)
-        return view
-
-    def _seat_weights(self, a: int) -> _SeatView:
-        """The seating view, its ``w`` holding the weights of every live
-        community for removed edge index ``a``.
+    def _seat_weights(self, a: int) -> np.ndarray:
+        """The seating weight of every row below the high-water mark for
+        removed edge index ``a``.
 
         The weight of a live community is (current + carried size) times
         the edge likelihood, which covers the first-snapshot case (carried
         sizes all zero), communities born this snapshot, and carried-over
-        ones in a single expression.
+        ones in a single expression.  A free row has seat count 0, so it
+        weighs 0.
         """
-        view = self._seat_view()
+        high = self._high
         i, j = self._ends[a]
-        w = np.multiply(view.cnt, view.bt[i], out=view.w)
-        np.multiply(w, view.bt[j], out=w)
-        return view
+        w = np.multiply(self._seats[:high], self._beta[i, :high])
+        return np.multiply(w, self._beta[j, :high], out=w)
 
     def edge_weights(self, e: EdgeKey) -> tuple[dict[int, float], float]:
         """Unnormalized seating weights the sampler would use for edge e
@@ -291,8 +245,9 @@ class SamplerState:
         a = self._edge_pos[e]
         if self._assign_row[a] >= 0:
             raise ValueError("edge %r must be removed before weighing" % (e,))
-        view = self._seat_weights(a)
-        return dict(zip(view.ids, view.w.tolist())), self._new_w
+        rows = self._live_rows()
+        w = self._seat_weights(a)
+        return dict(zip(self._ids[rows].tolist(), w[rows].tolist())), self._new_w
 
     def draw_for_edge(self, a: int) -> int:
         """Draw a community for edge index ``a`` (currently removed).
@@ -300,21 +255,22 @@ class SamplerState:
         Choosing a brand-new community allocates a fresh id with a prior
         beta draw.
         """
-        view = self._seat_weights(a)
-        total = float(np.add.reduce(view.w)) + self._new_w
+        w = self._seat_weights(a)
+        total = float(np.add.reduce(w)) + self._new_w
         if not math.isfinite(total) or total <= 0.0:
             return self._create_community()
         u = self.rng.random() * total
-        cum = np.add.accumulate(view.w, out=view.cum)
-        pos = int(cum.searchsorted(u, side="right"))
-        if pos >= len(view.ids):
+        # a free row adds 0 to the running sum, so the first position whose
+        # sum exceeds u is always a live row
+        row = int(np.add.accumulate(w, out=w).searchsorted(u, side="right"))
+        if row >= len(w):
             return self._create_community()
-        return view.ids[pos]
+        return int(self._ids[row])
 
     def _create_community(self) -> int:
         cid = self.alloc.fresh()
         row = self._acquire_row(cid)
-        self._beta[row] = self._prior_beta()
+        self._beta[:, row] = self._prior_beta()
         return cid
 
     def resample_beta(self) -> None:
@@ -322,26 +278,28 @@ class SamplerState:
         rows = self._live_rows()
         if len(rows) == 0:
             return
-        draws = self.rng.standard_gamma(self._endpoint[rows] + self.hyper.gamma)
+        draws = self.rng.standard_gamma(self._node_counts()[rows] + self.hyper.gamma)
         sums = draws.sum(axis=1, keepdims=True)
         flat = sums[:, 0] <= 0.0
         if np.any(flat):
             draws[flat] = 1.0
             sums = draws.sum(axis=1, keepdims=True)
-        self._beta[rows] = draws / sums
-        self._seat = None
+        self._beta[:, rows] = (draws / sums).T
 
     # ---------------------------------------------------------------- views
 
     @property
     def G(self) -> dict[EdgeKey, int]:
-        return {e: int(self._ids[self._assign_row[a]])
-                for a, e in enumerate(self.graph.edges)}
+        unseated = np.nonzero(self._assign_row < 0)[0]
+        if len(unseated):
+            raise ValueError("edge %r is not currently assigned"
+                             % (self.graph.edges[unseated[0]],))
+        return dict(zip(self.graph.edges, self._ids[self._assign_row].tolist()))
 
     @property
     def B(self) -> dict[int, np.ndarray]:
         """Community id -> a copy of its beta row, for every live community."""
-        return {int(self._ids[row]): self._beta[row].copy()
+        return {int(self._ids[row]): self._beta[:, row].copy()
                 for row in self._live_rows()}
 
     def check_consistency(self) -> None:
@@ -353,42 +311,29 @@ class SamplerState:
         live = np.nonzero(ids >= 0)[0]
         assert np.all((rows >= 0) & (rows < high)), "an edge is unseated"
         assert np.all(ids[rows] >= 0), "an edge sits on a free row"
-        assert np.array_equal(self._n[:high], np.bincount(rows, minlength=high)), \
-            "community sizes drifted"
-        ends = self.graph.edge_array
-        endpoint = np.zeros((high, self.n_nodes))
-        np.add.at(endpoint, (rows, ends[:, 0]), 1.0)
-        np.add.at(endpoint, (rows, ends[:, 1]), 1.0)
-        assert np.array_equal(self._endpoint[:high], endpoint), "endpoint counts drifted"
         prev = np.zeros(high, dtype=np.int64)
         for r, c in self._carried.items():
             assert r in self._row_of, "carried community %d was released" % r
             prev[self._row_of[r]] = c
         assert np.array_equal(self._prev[:high], prev), "carried sizes drifted"
-        assert np.all(self._n[live] + prev[live] > 0), "an empty row is still live"
+        assert np.array_equal(self._seats[:high], np.bincount(rows, minlength=high) + prev), \
+            "seat counts drifted"
+        assert np.all(self._seats[live] > 0), "an empty row is still live"
         assert self._row_of == dict(zip(ids[live].tolist(), live.tolist())) \
             and len(self._row_of) == len(live), "row map drifted from the ids"
         assert sorted(self._free) == np.nonzero(ids < 0)[0].tolist(), \
             "free list drifted from the ids"
-        beta = self._beta[live]
-        assert np.all(beta >= 0) and np.allclose(beta.sum(axis=1), 1.0, rtol=0, atol=1e-9), \
+        beta = self._beta[:, live]
+        assert np.all(beta >= 0) and np.allclose(beta.sum(axis=0), 1.0, rtol=0, atol=1e-9), \
             "a live beta row is off the simplex"
-        view = self._seat
-        if view is not None:
-            assert view.ids == ids[live].tolist(), "seating view ids drifted"
-            assert view.pos == dict(zip(live.tolist(), range(len(live)))), \
-                "seating view positions drifted"
-            assert np.array_equal(view.cnt, (self._n[live] + prev[live]).astype(np.float64)), \
-                "seating view sizes drifted"
-            assert np.array_equal(view.bt, beta.T), "seating view betas drifted"
 
     def record(self, sweep_index: int) -> SampleRecord:
         """Copy the current state into a SampleRecord with its cover."""
         live = self._live_rows()
-        rows = live[self._n[live] > 0]
+        sizes = (self._seats[live] - self._prev[live]).astype(np.int64)
+        rows, sizes = live[sizes > 0], sizes[sizes > 0]
         ids = tuple(self._ids[rows].tolist())
-        sizes = self._n[rows]
-        beta = self._beta[rows]
+        beta = np.ascontiguousarray(self._beta[:, rows].T)
         assign_ids = self._ids[self._assign_row]
         u = soft_membership_from_arrays(self.graph.nodes, ids, sizes, beta, self.m)
         cover = extract_cover(u, self.hyper.theta)

@@ -176,8 +176,8 @@ def test_static_edge_weights_hand_example():
     state.remove_edge((0, 1))
     row_a = state._row_of[100]
     row_b = state._row_of[200]
-    state._beta[row_a, 0], state._beta[row_a, 1] = 0.2, 0.1
-    state._beta[row_b, 0], state._beta[row_b, 1] = 0.5, 0.4
+    state._beta[0, row_a], state._beta[1, row_a] = 0.2, 0.1
+    state._beta[0, row_b], state._beta[1, row_b] = 0.5, 0.4
     existing, new = state.edge_weights((0, 1))
     assert existing[100] == pytest.approx(0.06)
     assert existing[200] == pytest.approx(0.2)
@@ -189,8 +189,8 @@ def test_static_draw_frequencies_match_weights():
     state.remove_edge((0, 1))
     row_a = state._row_of[100]
     row_b = state._row_of[200]
-    state._beta[row_a, 0], state._beta[row_a, 1] = 0.2, 0.1
-    state._beta[row_b, 0], state._beta[row_b, 1] = 0.5, 0.4
+    state._beta[0, row_a], state._beta[1, row_a] = 0.2, 0.1
+    state._beta[0, row_b], state._beta[1, row_b] = 0.5, 0.4
     a = state._edge_pos[(0, 1)]
     hits = Counter()
     for _ in range(30_000):
@@ -210,10 +210,10 @@ def test_dynamic_edge_weights_hand_example():
     h = HyperParams()
     state = SamplerState(g, assign, {100: 4, 300: 6}, h, np.random.default_rng(1))
     state.remove_edge((0, 1))
-    state._beta[state._row_of[100], 0] = 0.3
-    state._beta[state._row_of[100], 1] = 0.3
-    state._beta[state._row_of[300], 0] = 0.5
-    state._beta[state._row_of[300], 1] = 0.2
+    state._beta[0, state._row_of[100]] = 0.3
+    state._beta[1, state._row_of[100]] = 0.3
+    state._beta[0, state._row_of[300]] = 0.5
+    state._beta[1, state._row_of[300]] = 0.2
     existing, new = state.edge_weights((0, 1))
     assert existing[100] == pytest.approx(0.54)
     # previous-only community stays revivable with weight prev_size * beta product
@@ -274,11 +274,11 @@ def test_edge_weights_agree_with_model_kernels():
 
 def test_leave_one_out_restores_stats():
     g, state, h = make_static_state()
-    before = state._n.copy(), state._endpoint.copy()
+    before = state._seats.copy(), state._node_counts()
     state.remove_edge((0, 1))
     state._add_idx(state._edge_pos[(0, 1)], 200)
-    assert np.array_equal(state._n, before[0])
-    assert np.array_equal(state._endpoint, before[1])
+    assert np.array_equal(state._seats, before[0])
+    assert np.array_equal(state._node_counts(), before[1])
     state.check_consistency()
 
 
@@ -289,12 +289,25 @@ def test_leave_one_out_restores_stats_after_row_retirement():
     before = CommunityStats.from_assignment(state.G)
     state.remove_edge((2, 3))  # community 1 dies with its only edge
     assert 1 not in state._row_of
-    state._beta[state._acquire_row(1)] = state._prior_beta()
+    state._beta[:, state._acquire_row(1)] = state._prior_beta()
     state._add_idx(state._edge_pos[(2, 3)], 1)
     state.check_consistency()
     after = CommunityStats.from_assignment(state.G)
     assert before.n == after.n
     assert before.endpoint_counts == after.endpoint_counts
+
+
+def test_G_refuses_an_unseated_edge():
+    g = SnapshotGraph(range(3), [(0, 1), (1, 2)])
+    state = SamplerState(g, {(0, 1): 0, (1, 2): 0}, None, HyperParams(),
+                         np.random.default_rng(0))
+    state.remove_edge((0, 1))
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        state.G
+    for _ in range(state._cap):  # every row live, the last one included
+        state._create_community()
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        state.G
 
 
 def test_sweep_keeps_state_consistent():
@@ -318,24 +331,24 @@ def test_sweep_consistency_with_carryover():
     for _ in range(5):
         gibbs_sweep(state)
         state.check_consistency()
-        assert int(state._n.sum()) == state.m
+        assert state._seats.sum() - state._prev.sum() == state.m
 
 
-def corrupt(state, kind):
-    row = state._row_of[state._seat.ids[0]]
-    if kind == "view size":
-        state._seat.cnt[0] += 1.0
-    elif kind == "view beta":
-        state._seat.bt[0, 0] += 0.125
+def corrupt(state, kind, free):
+    row = int(state._live_rows()[0])
+    if kind == "seat count":
+        state._seats[row] += 1.0
+    elif kind == "free row seat":
+        state._seats[free] = 1.0  # a draw could now stop on the free row
     elif kind == "carried size":
         state._prev[row] += 4
     elif kind == "stale row map":
         state._row_of[state.alloc.high_water] = row
     elif kind == "beta off simplex":
-        state._beta[row] *= 1.5
+        state._beta[:, row] *= 1.5
 
 
-@pytest.mark.parametrize("kind", ["view size", "view beta", "carried size",
+@pytest.mark.parametrize("kind", ["seat count", "free row seat", "carried size",
                                   "stale row map", "beta off simplex"])
 def test_check_consistency_catches_each_corruption(kind):
     rng = np.random.default_rng(29)
@@ -343,9 +356,10 @@ def test_check_consistency_catches_each_corruption(kind):
     assign = {e: int(rng.integers(0, 3)) for e in g.edges}
     state = SamplerState(g, assign, {0: 5, 1: 2, 9: 4}, HyperParams(), rng)
     gibbs_sweep(state)
-    state._seat_view()
+    free = state._row_of[state._create_community()]
+    state._release_row(free)
     state.check_consistency()
-    corrupt(state, kind)
+    corrupt(state, kind, free)
     with pytest.raises(AssertionError):
         state.check_consistency()
 
@@ -387,22 +401,26 @@ def test_run_snapshot_deterministic():
         assert ra.modularity == rb.modularity
 
 
-# ---------------------------------------------------------------- seating view
+# ---------------------------------------------------------------- edge pass
 
 
 def reference_sweep(state):
     """One sweep with the seating weights gathered afresh for every edge:
-    live rows from ``np.nonzero``, fancy-indexed ``(n + prev) * beta_i *
-    beta_j``, ``w.sum()`` and ``np.cumsum``.  It moves edges and opens
-    tables through the state's own methods and draws from its rng in the
-    order ``gibbs_sweep`` does, so the two must agree bit for bit."""
+    live rows from ``np.nonzero``, sizes from ``np.bincount`` of the seated
+    edges rather than the state's running seat counts, fancy-indexed
+    ``(n + prev) * beta_i * beta_j``, ``w.sum()`` and ``np.cumsum``.  It
+    moves edges and opens tables through the state's own methods and draws
+    from its rng in the order ``gibbs_sweep`` does, so the two must agree
+    bit for bit."""
     ends = state.graph.edge_array
     for a in state.rng.permutation(state.m):
         a = int(a)
         state._remove_idx(a)
         i, j = ends[a]
         rows = np.nonzero(state._ids[:state._high] >= 0)[0]
-        w = (state._n[rows] + state._prev[rows]) * state._beta[rows, i] * state._beta[rows, j]
+        seated = state._assign_row[state._assign_row >= 0]
+        n = np.bincount(seated, minlength=state._high)
+        w = (n[rows] + state._prev[rows]) * state._beta[i, rows] * state._beta[j, rows]
         total = float(w.sum()) + state._new_w
         if not np.isfinite(total) or total <= 0.0:
             cid = state._create_community()
@@ -436,7 +454,6 @@ def run_twins(fast, slow, sweeps):
         assert np.array_equal(fast._ids, slow._ids)
         assert np.array_equal(fast._beta, slow._beta)
         assert fast.alloc.high_water == slow.alloc.high_water
-        fast._seat_view()  # resample_beta dropped it; rebuilt, it is checked too
         fast.check_consistency()
         slow.check_consistency()
         released += len(before - set(fast._row_of))
