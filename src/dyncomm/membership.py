@@ -24,9 +24,6 @@ class SoftMembership:
             raise ValueError("u has shape %r, expected (%d, %d)"
                              % (self.u.shape, len(self.ids), len(self.nodes)))
 
-    def value(self, i: int, r: int) -> float:
-        return float(self.u[self.ids.index(r), self.nodes.index(i)])
-
 
 @dataclass
 class Cover:

@@ -1,20 +1,25 @@
 """Cover quality measures and the per-snapshot metric report.
 
-Extended modularity follows Shen's overlapping form
+Both scores start from a cover's K x N 0/1 membership matrix X (one row per
+nonempty community, in id order).  Extended modularity is Shen's form
 
     EQ = (1 / 2M) * sum_c sum_{i,j in c} (1 / (O_i O_j)) * (A_ij - k_i k_j / 2M)
 
-where O_i counts the communities containing node i; on a partition every
-O_i is 1 and EQ is exactly Newman modularity.  Cover similarity uses the
-normalized-conditional-entropy NMI for overlapping covers (binary node
-membership vectors, average normalization).
+where O_i, the column sums of X, counts the communities holding node i.
+With W = X / O, community c adds W_c . (A W_c) - (W_c . k)^2 / 2M, all from
+one sparse product; ``math.fsum`` rounds the sum once, so EQ depends on the
+set of communities, not their order.  On a partition it is Newman modularity.
+
+Cover similarity is the normalized-conditional-entropy NMI for overlapping
+covers (binary membership vectors, average normalization), with the pair
+counts n11 = X Y^T and the other three from the row sums.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -22,77 +27,52 @@ from .graphs import SnapshotGraph
 from .membership import Cover
 
 
+def _cover_matrix(cover: Cover, index: Mapping[int, int], where: str) -> np.ndarray:
+    """K x N 0/1 float matrix over ``index``'s columns, one row per nonempty
+    community in sorted id order; a node missing from ``index`` raises."""
+    rows = [members for _, members in sorted(cover.communities.items()) if members]
+    x = np.zeros((len(rows), len(index)))
+    for a, members in enumerate(rows):
+        missing = members - index.keys()
+        if missing:
+            raise ValueError("cover node %r is %s" % (min(missing), where))
+        x[a, [index[i] for i in members]] = 1.0
+    return x
+
+
 def extended_modularity(cover: Cover, g: SnapshotGraph) -> float:
     """Overlapping modularity of a cover on one snapshot; 0 when M = 0."""
     if g.m == 0:
         return 0.0
-    idx = g.node_index
-    o_count = cover.membership_counts()
-    for i in o_count:
-        if i not in idx:
-            raise ValueError("cover node %r is not in the snapshot" % (i,))
-    inv_o = np.zeros(g.n)
-    for i, o in o_count.items():
-        inv_o[idx[i]] = 1.0 / o
-    adj = g.adjacency
-    deg = g.degree_array
+    x = _cover_matrix(cover, g.node_index, "not in the snapshot")
+    o = x.sum(axis=0)
+    w = np.divide(x, o, out=np.zeros_like(x), where=o > 0)
+    # C order, so every row below is summed the same way wherever it sits
+    wa = np.ascontiguousarray((g.adjacency @ w.T).T)
     two_m = 2.0 * g.m
-    total = 0.0
-    for members in cover.communities.values():
-        if not members:
-            continue
-        w = np.zeros(g.n)
-        cols = [idx[i] for i in members]
-        w[cols] = inv_o[cols]
-        total += float(w @ (adj @ w)) - float(deg @ w) ** 2 / two_m
-    return total / two_m
+    terms = (w * wa).sum(axis=1) - (w * g.degree_array).sum(axis=1) ** 2 / two_m
+    return math.fsum(terms) / two_m
 
 
-def _h(p: float) -> float:
-    return -p * math.log(p) if p > 0 else 0.0
+def _h(p: np.ndarray) -> np.ndarray:
+    """-p log p elementwise, 0 where p = 0."""
+    return -p * np.log(p, out=np.zeros_like(p), where=p > 0)
 
 
-def _membership_matrix(cover: Cover, universe: Sequence[int]) -> np.ndarray:
-    pos = {v: b for b, v in enumerate(universe)}
-    rows = []
-    for r in sorted(cover.communities):
-        members = cover.communities[r]
-        if not members:
-            continue
-        row = np.zeros(len(universe), dtype=bool)
-        for i in members:
-            if i not in pos:
-                raise ValueError("cover node %r is outside the universe" % (i,))
-            row[pos[i]] = True
-        rows.append(row)
-    if not rows:
-        return np.empty((0, len(universe)), dtype=bool)
-    return np.stack(rows)
-
-
-def _conditional_entropy_norm(x: np.ndarray, y: np.ndarray, n: int) -> float:
-    """Average over rows of X of min_l H(X_k | Y_l) / H(X_k)."""
-    terms = []
-    for xk in x:
-        p1 = xk.sum() / n
-        hx = _h(p1) + _h(1 - p1)
-        if hx == 0.0:
-            terms.append(0.0)
-            continue
-        best = hx  # the unconstrained fallback H(X_k)
-        for yl in y:
-            n11 = np.count_nonzero(xk & yl)
-            n10 = np.count_nonzero(xk & ~yl)
-            n01 = np.count_nonzero(~xk & yl)
-            n00 = n - n11 - n10 - n01
-            p11, p10, p01, p00 = (c / n for c in (n11, n10, n01, n00))
-            if _h(p11) + _h(p00) < _h(p01) + _h(p10):
-                continue
-            hy = _h(p01 + p11) + _h(p10 + p00)
-            joint = _h(p00) + _h(p01) + _h(p10) + _h(p11)
-            best = min(best, joint - hy)
-        terms.append(best / hx)
-    return float(np.mean(terms))
+def _conditional_entropy_norm(n11: np.ndarray, sx: np.ndarray, sy: np.ndarray,
+                              n: int) -> float:
+    """Average over rows k of X of min_l H(X_k | Y_l) / H(X_k), from the pair
+    counts n11[k, l] = |X_k & Y_l| and the row sizes sx, sy."""
+    n10, n01 = sx[:, None] - n11, sy - n11
+    p11, p10, p01, p00 = n11 / n, n10 / n, n01 / n, (n - n11 - n10 - n01) / n
+    hx = _h(sx / n) + _h(1 - sx / n)
+    hy = _h(p01 + p11) + _h(p10 + p00)
+    h11, h10, h01, h00 = map(_h, (p11, p10, p01, p00))
+    # the min-entropy constraint skips a pair that looks anti-correlated;
+    # H(X_k) itself is the fallback when every pair is skipped
+    cond = np.where(h11 + h00 < h01 + h10, np.inf, h00 + h01 + h10 + h11 - hy)
+    best = np.minimum(hx, cond.min(axis=1))
+    return float(np.mean(np.divide(best, hx, out=np.zeros_like(hx), where=hx != 0)))
 
 
 def overlapping_nmi(x: Cover, y: Cover, universe: Iterable[int]) -> float:
@@ -102,18 +82,15 @@ def overlapping_nmi(x: Cover, y: Cover, universe: Iterable[int]) -> float:
     with the min-entropy constraint guarding each matched pair.  An empty
     cover scores 0 against a nonempty one and 1 against another empty one.
     """
-    uni = tuple(sorted(set(universe)))
-    mx = _membership_matrix(x, uni)
-    my = _membership_matrix(y, uni)
+    index = {v: b for b, v in enumerate(sorted(set(universe)))}
+    mx, my = (_cover_matrix(c, index, "outside the universe") for c in (x, y))
     if len(mx) == 0 or len(my) == 0:
         return 1.0 if len(mx) == len(my) else 0.0
-    n = len(uni)
-    if n == 0:
-        return 1.0
-    hxy = _conditional_entropy_norm(mx, my, n)
-    hyx = _conditional_entropy_norm(my, mx, n)
-    value = 1.0 - 0.5 * (hxy + hyx)
-    return min(1.0, max(0.0, value))
+    n = len(index)
+    n11, sx, sy = mx @ my.T, mx.sum(axis=1), my.sum(axis=1)
+    hxy = _conditional_entropy_norm(n11, sx, sy, n)
+    hyx = _conditional_entropy_norm(n11.T, sy, sx, n)
+    return min(1.0, max(0.0, 1.0 - 0.5 * (hxy + hyx)))
 
 
 @dataclass

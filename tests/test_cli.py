@@ -228,7 +228,7 @@ def test_generate_and_detect_bytes_are_pinned(tmp_path):
         det / "covers.txt":
             "579ca91be79c36305b25c86ca29ff6e9bb2c15dab50c4ee0f540c2ee04071e5a",
         det / "metrics.csv":
-            "ca484dcd22f922ca7671b065b18049ab1aabde35c6ca0837520bfe15721cf804",
+            "e4ce264efffa1cbe5ef9de9ab28b6df7698c919b173713e92a305a3889963d9e",
     }
     for path, digest in pinned.items():
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name

@@ -21,14 +21,15 @@ Rec = namedtuple("Rec", "modularity sweep_index")
 def test_soft_membership_direct_product():
     u = soft_membership_from_arrays([0, 1], [3], np.array([5]),
                                     np.array([[0.4, 0.6]]), m=10)
-    assert u.value(0, 3) == pytest.approx(0.2)
-    assert u.value(1, 3) == pytest.approx(0.3)
+    # one row, community 3; columns are nodes 0 and 1
+    assert u.u[0, 0] == pytest.approx(0.2)
+    assert u.u[0, 1] == pytest.approx(0.3)
 
 
 def test_soft_membership_zero_beta_gives_zero():
     u = soft_membership_from_arrays([0, 1], [0], np.array([4]),
                                     np.array([[0.0, 1.0]]), m=4)
-    assert u.value(0, 0) == 0.0
+    assert u.u[0, 0] == 0.0  # community 0, node 0
 
 
 def test_soft_membership_rows_sum_to_size_share():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dyncomm.graphs import SnapshotGraph
 from dyncomm.membership import Cover
@@ -67,6 +69,40 @@ def random_graph(rng, n, tries=60):
     return SnapshotGraph(range(n), sorted(pairs))
 
 
+@st.composite
+def partitioned_graphs(draw):
+    """A graph of 2-20 nodes with at least one edge, and a partition of some
+    of its nodes: label -1 leaves a node uncovered, and a label nobody
+    draws is an empty community."""
+    n = draw(st.integers(2, 20))
+    edge = st.integers(0, n - 2).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(a + 1, n - 1)))
+    g = SnapshotGraph(range(n), sorted(draw(st.sets(edge, min_size=1, max_size=40))))
+    k = draw(st.integers(1, 5))
+    labels = draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n))
+    return g, {c: {i for i in range(n) if labels[i] == c} for c in range(k)}
+
+
+@st.composite
+def covers(draw, n):
+    """A cover over range(n) of 1-4 communities, each of 0-n nodes (so empty
+    and one-node communities come up), sometimes with one node in all of them."""
+    comms = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=n),
+                          min_size=1, max_size=4))
+    shared = draw(st.none() | st.integers(0, n - 1))
+    if shared is not None:
+        for members in comms:
+            members.add(shared)
+    return Cover(dict(enumerate(comms)))
+
+
+@st.composite
+def cover_pairs(draw):
+    """Two covers over range(n) and a universe of n to n + 5 nodes."""
+    n = draw(st.integers(1, 24))
+    return draw(covers(n)), draw(covers(n)), range(n + draw(st.integers(0, 5)))
+
+
 # ---------------------------------------------------------------- modularity
 
 
@@ -96,20 +132,15 @@ def test_modularity_empty_graph_is_zero():
     assert extended_modularity(Cover({0: {0, 1}}), g) == 0.0
 
 
-def test_modularity_matches_newman_on_partitions():
-    rng = np.random.default_rng(21)
-    for trial in range(40):
-        n = int(rng.integers(4, 21))
-        g = random_graph(rng, n)
-        if g.m == 0:
-            continue
-        k = int(rng.integers(1, 5))
-        labels = rng.integers(0, k, size=n)
-        parts = [set(np.nonzero(labels == c)[0].tolist()) for c in range(k)]
-        parts = [p for p in parts if p]
-        cover = Cover({c: p for c, p in enumerate(parts)})
-        assert extended_modularity(cover, g) == pytest.approx(
-            newman_modularity(g, parts), abs=1e-12)
+# an empty community, a one-node community and two uncovered nodes
+@example(case=(SnapshotGraph(range(6), [(0, 1), (0, 2), (1, 2), (3, 4)]),
+               {0: {0, 1, 2}, 1: set(), 2: {3}}))
+@settings(max_examples=150, deadline=None)
+@given(case=partitioned_graphs())
+def test_modularity_matches_newman_on_partitions(case):
+    g, parts = case
+    assert extended_modularity(Cover(parts), g) == pytest.approx(
+        newman_modularity(g, [p for p in parts.values() if p]), abs=1e-12)
 
 
 def test_modularity_bounded():
@@ -123,6 +154,23 @@ def test_modularity_bounded():
                        for c in range(int(rng.integers(1, 4)))})
         eq = extended_modularity(cover, g)
         assert -1.0 <= eq <= 1.0
+
+
+def test_modularity_ignores_community_order():
+    # the same communities under any order and any ids give one float; a
+    # sum rounded in community order differs on most of these graphs
+    rng = np.random.default_rng(23)
+    for graph in range(5):
+        g = random_graph(rng, 40, tries=300)
+        comms = [set(rng.choice(40, size=int(rng.integers(3, 12)), replace=False).tolist())
+                 for _ in range(10)]
+        values = set()
+        for trial in range(10):
+            ids = rng.choice(1000, size=10, replace=False).tolist()
+            order = rng.permutation(10)
+            values.add(extended_modularity(
+                Cover({r: comms[c] for r, c in zip(ids, order)}), g))
+        assert len(values) == 1, graph
 
 
 def test_modularity_unknown_cover_node_rejected():
@@ -173,43 +221,36 @@ def test_nmi_empty_cover_conventions():
     assert overlapping_nmi(empty, Cover(), range(3)) == 1.0
 
 
-def test_nmi_symmetric():
-    rng = np.random.default_rng(31)
-    for trial in range(15):
-        n = 24
-        x = Cover({c: {int(i) for i in rng.choice(n, size=rng.integers(2, 12),
-                                                  replace=False)}
-                   for c in range(int(rng.integers(1, 4)))})
-        y = Cover({c: {int(i) for i in rng.choice(n, size=rng.integers(2, 12),
-                                                  replace=False)}
-                   for c in range(int(rng.integers(1, 4)))})
-        a = overlapping_nmi(x, y, range(n))
-        b = overlapping_nmi(y, x, range(n))
-        assert a == pytest.approx(b, abs=1e-12)
+# an empty and a one-node community, a node in every community of y, and
+# a universe wider than both covers
+EDGE_CASE = (Cover({0: set(), 1: {3}, 2: {0, 1, 3}}),
+             Cover({0: {1, 2}, 1: {1}, 2: {0, 1, 4}}), range(8))
 
 
-def test_nmi_self_similarity_is_one():
-    rng = np.random.default_rng(32)
-    for trial in range(15):
-        n = 20
-        x = Cover({c: {int(i) for i in rng.choice(n, size=rng.integers(2, 10),
-                                                  replace=False)}
-                   for c in range(int(rng.integers(1, 5)))})
-        assert overlapping_nmi(x, x, range(n)) == pytest.approx(1.0)
+@example(case=EDGE_CASE)
+@settings(max_examples=150, deadline=None)
+@given(case=cover_pairs())
+def test_nmi_symmetric(case):
+    x, y, universe = case
+    assert overlapping_nmi(x, y, universe) == pytest.approx(
+        overlapping_nmi(y, x, universe), abs=1e-12)
 
 
-def test_nmi_matches_set_based_reference():
-    rng = np.random.default_rng(33)
-    for trial in range(25):
-        n = int(rng.integers(8, 30))
-        x = Cover({c: {int(i) for i in rng.choice(n, size=rng.integers(1, n),
-                                                  replace=False)}
-                   for c in range(int(rng.integers(1, 4)))})
-        y = Cover({c: {int(i) for i in rng.choice(n, size=rng.integers(1, n),
-                                                  replace=False)}
-                   for c in range(int(rng.integers(1, 4)))})
-        assert overlapping_nmi(x, y, range(n)) == pytest.approx(
-            lfk_nmi(x, y, range(n)), abs=1e-12)
+@example(case=EDGE_CASE)
+@settings(max_examples=150, deadline=None)
+@given(case=cover_pairs())
+def test_nmi_self_similarity_is_one(case):
+    x, _, universe = case
+    assert overlapping_nmi(x, x, universe) == pytest.approx(1.0)
+
+
+@example(case=EDGE_CASE)
+@settings(max_examples=150, deadline=None)
+@given(case=cover_pairs())
+def test_nmi_matches_set_based_reference(case):
+    x, y, universe = case
+    assert overlapping_nmi(x, y, universe) == pytest.approx(
+        lfk_nmi(x, y, universe), abs=1e-12)
 
 
 def test_nmi_cover_node_outside_universe_rejected():
