@@ -4,14 +4,19 @@ Three subcommands share one configuration story: an optional key=value
 config file, command-line flags that win over it, and DYNCOMM_SEED as the
 seed of last resort.  Outputs are plain text (edge lists, cover files,
 metric CSV) plus a run_meta.txt that echoes the resolved settings, so a
-run can be reproduced from its output directory alone.
+run can be reproduced from its output directory alone.  A command writes
+its files into a new directory beside ``--out`` and moves them in only
+after every write succeeded, so a failed run leaves ``--out`` untouched.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -161,11 +166,27 @@ def resolve_run_config(args) -> RunConfig:
                      aggregate=args.aggregate, **common)
 
 
-def _write_meta(cfg: RunConfig, extra: dict[str, object]) -> None:
+@contextmanager
+def _staged(out: Path):
+    """A new directory beside ``out`` to write into.  Its files move into
+    ``out`` only when the block finishes without raising; either way the
+    directory is removed, so a failed write leaves ``out`` as it was."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".%s." % out.name, dir=out.parent))
+    try:
+        yield stage
+        out.mkdir(exist_ok=True)
+        for path in sorted(stage.iterdir()):
+            os.replace(path, out / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def _write_meta(cfg: RunConfig, extra: dict[str, object], out: Path) -> None:
     lines = {"command": cfg.command, "version": __version__, "seed": cfg.seed}
     lines.update((key, getattr(cfg.hyper, field)) for key, field, _ in _HYPER_FIELDS)
     lines.update(extra)
-    with open(cfg.out / "run_meta.txt", "w", encoding="utf-8") as fh:
+    with open(out / "run_meta.txt", "w", encoding="utf-8") as fh:
         for key, val in lines.items():
             fh.write("%s=%s\n" % (key, val))
 
@@ -173,14 +194,14 @@ def _write_meta(cfg: RunConfig, extra: dict[str, object]) -> None:
 def cmd_generate(cfg: RunConfig) -> int:
     """Write network.txt and truth.txt for a planted dynamic benchmark."""
     net, truth = generate_dynamic(cfg.gen, cfg.schedule)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    save_dynamic(net, cfg.out / "network.txt")
-    save_covers(cfg.out / "truth.txt",
-                {t: cover for t, cover in enumerate(truth.covers, start=1)})
     gen_meta = {key: getattr(cfg.gen, field) for key, field, _ in _GEN_FIELDS}
     gen_meta["preset"] = cfg.preset_name or "none"
     gen_meta["k_series"] = " ".join(str(k) for k in truth.k_series)
-    _write_meta(cfg, gen_meta)
+    with _staged(cfg.out) as stage:
+        save_dynamic(net, stage / "network.txt")
+        save_covers(stage / "truth.txt",
+                    {t: cover for t, cover in enumerate(truth.covers, start=1)})
+        _write_meta(cfg, gen_meta, stage)
     print("k_series: " + " ".join(str(k) for k in truth.k_series))
     print("wrote %s" % (cfg.out / "network.txt"))
     return 0
@@ -203,11 +224,11 @@ def cmd_detect(cfg: RunConfig) -> int:
                                   _nmi_universe(res.graph, truth[res.t]))
         rows.append(MetricRow(res.t, nmi, res.record.modularity, res.cover.k))
     report = MetricReport(rows)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    save_covers(cfg.out / "covers.txt", {r.t: r.cover for r in results})
-    report.save(cfg.out / "metrics.csv")
-    _write_meta(cfg, {"chains": cfg.chains, "network": cfg.network,
-                      "truth": cfg.truth or "none"})
+    with _staged(cfg.out) as stage:
+        save_covers(stage / "covers.txt", {r.t: r.cover for r in results})
+        report.save(stage / "metrics.csv")
+        _write_meta(cfg, {"chains": cfg.chains, "network": cfg.network,
+                          "truth": cfg.truth or "none"}, stage)
     print("detected %d snapshots, k_series: %s"
           % (len(results), " ".join(str(r.cover.k) for r in results)))
     return 0
@@ -255,11 +276,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         rows = per_run[0]
     report = MetricReport(rows)
     if cfg.out is not None:
-        cfg.out.mkdir(parents=True, exist_ok=True)
-        report.save(cfg.out / "metrics.csv")
-        _write_meta(cfg, {"network": cfg.network, "truth": cfg.truth,
-                          "covers": " ".join(str(p) for p in cfg.covers),
-                          "aggregate": cfg.aggregate})
+        with _staged(cfg.out) as stage:
+            report.save(stage / "metrics.csv")
+            _write_meta(cfg, {"network": cfg.network, "truth": cfg.truth,
+                              "covers": " ".join(str(p) for p in cfg.covers),
+                              "aggregate": cfg.aggregate}, stage)
     else:
         report.write_csv(sys.stdout)
         print("seed=%d covers=%d" % (cfg.seed, len(runs)), file=sys.stderr)

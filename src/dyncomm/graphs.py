@@ -5,23 +5,24 @@ simple undirected graph over integer node ids; ids are stable across
 snapshots, so the same id in two snapshots denotes the same node.  Node and
 edge sets may differ between snapshots.
 
-File format (whitespace separated, ``#`` starts a comment):
+File format (spaces or tabs separate tokens, ``#`` starts a comment):
 
     t u v       edge (u, v) in snapshot t          e.g. ``1 0 5``
     t n id      declare node id in snapshot t      e.g. ``2 n 17``
 
-Snapshot indices are positive and are kept as written; node-declaration
-lines exist to encode isolated nodes, which are retained and simply receive
-empty community membership downstream.  Duplicate edges collapse to one;
-self-loops, weights and directions are rejected.
+Ids are non-negative integers of at most 18 digits.  Snapshot indices are
+positive and are kept as written; node-declaration lines exist to encode
+isolated nodes, which are retained and simply receive empty community
+membership downstream.  Duplicate edges collapse to one; self-loops,
+weights and directions are rejected.
 """
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy import sparse
 
 
 class GraphFormatError(ValueError):
@@ -42,7 +43,7 @@ class SnapshotGraph:
     """One snapshot: a simple undirected graph with stable integer node ids.
 
     Instances are treated as immutable after construction; the derived
-    structures (index, degrees, adjacency) are cached and safe to share
+    structures (index, edge and degree arrays) are cached and safe to share
     across concurrent sampler chains.
     """
 
@@ -67,35 +68,21 @@ class SnapshotGraph:
     @cached_property
     def edge_array(self) -> np.ndarray:
         """(m, 2) int array of compact endpoint indices, in ``self.edges`` order."""
-        idx = self.node_index
-        if self.m == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.array([(idx[u], idx[v]) for u, v in self.edges], dtype=np.int64)
-
-    @cached_property
-    def degrees(self) -> dict[int, int]:
-        deg = dict.fromkeys(self.nodes, 0)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        nodes = np.array(self.nodes, dtype=np.int64)
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        idx = np.searchsorted(nodes, ends)
+        if self.m and (not self.n or np.any(nodes.take(idx, mode="clip") != ends)):
+            raise GraphFormatError("%r has an edge endpoint outside its nodes" % self)
+        return idx
 
     @cached_property
     def degree_array(self) -> np.ndarray:
-        return np.array([self.degrees[v] for v in self.nodes], dtype=np.float64)
+        """Degree of every node, in ``self.nodes`` order."""
+        return np.bincount(self.edge_array.ravel(), minlength=self.n).astype(np.float64)
 
     @cached_property
-    def adjacency(self) -> sparse.csr_matrix:
-        """Symmetric 0/1 adjacency over compact node indices."""
-        ea = self.edge_array
-        ones = np.ones(len(ea), dtype=np.float64)
-        a = sparse.coo_matrix(
-            (np.concatenate([ones, ones]),
-             (np.concatenate([ea[:, 0], ea[:, 1]]),
-              np.concatenate([ea[:, 1], ea[:, 0]]))),
-            shape=(self.n, self.n),
-        )
-        return a.tocsr()
+    def degrees(self) -> dict[int, int]:
+        return dict(zip(self.nodes, map(int, self.degree_array)))
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
@@ -156,14 +143,50 @@ def validate(g: SnapshotGraph) -> list[str]:
     return violations
 
 
-def _parse_id(tok: str, lineno: int) -> int:
-    try:
-        value = int(tok)
-    except ValueError:
-        raise GraphFormatError("line %d: not an integer: %r" % (lineno, tok)) from None
-    if value < 0:
-        raise GraphFormatError("line %d: negative id %d" % (lineno, value))
-    return value
+# ASCII whitespace separates tokens; a comment runs from # to the line's end
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[list(b" \t\n\r\v\f")] = True
+_COMMENT = re.compile(rb"#[^\n]*")
+# every id of 18 digits or fewer fits in an int64
+_MAX_DIGITS = 18
+
+
+def _tokens(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start and end offsets of every token in the bytes ``raw``, and the
+    0-based line each one is on."""
+    space = np.concatenate(([True], _SPACE[raw], [True]))
+    bounds = np.flatnonzero(space[1:] != space[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    return starts, ends, np.searchsorted(np.flatnonzero(raw == ord("\n")), starts)
+
+
+def _integers(raw: np.ndarray, starts: np.ndarray,
+              ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each token read as a decimal integer with an optional sign: its value
+    (0 where unreadable) and whether it was readable."""
+    lead = raw[starts]
+    first = starts + ((lead == ord("-")) | (lead == ord("+")))
+    digits = ends - first
+    ok = (digits >= 1) & (digits <= _MAX_DIGITS)
+    value = np.zeros(len(starts), dtype=np.int64)
+    for k in range(min(int(digits.max(initial=0)), _MAX_DIGITS)):
+        inside = digits > k
+        d = raw[np.where(inside, first + k, 0)].astype(np.int64) - ord("0")
+        ok &= ~inside | ((d >= 0) & (d <= 9))
+        value = np.where(inside, 10 * value + d, value)
+    value = np.where(lead == ord("-"), -value, value)
+    value[~ok] = 0
+    return value, ok
+
+
+def _unique_rows(*cols: np.ndarray) -> list[np.ndarray]:
+    """The distinct rows of the given columns, sorted by the first column,
+    then the second, and so on."""
+    order = np.lexsort(cols[::-1])
+    cols = [c[order] for c in cols]
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = np.any([c[1:] != c[:-1] for c in cols], axis=0)
+    return [c[keep] for c in cols]
 
 
 def load_dynamic(path) -> DynamicNetwork:
@@ -171,41 +194,74 @@ def load_dynamic(path) -> DynamicNetwork:
 
     Duplicate edges within a snapshot collapse to one; edges are stored in
     canonical sorted order.  Raises GraphFormatError, reporting the line
-    number, on malformed lines, self-loops or negative ids.
+    number, on malformed lines, self-loops or negative ids.  Ids have at
+    most 18 digits.
     """
-    edges_by_t: dict[int, set[tuple[int, int]]] = {}
-    declared_by_t: dict[int, set[int]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
-            if len(toks) != 3:
-                raise GraphFormatError(
-                    "line %d: expected 't u v' or 't n id', got %r" % (lineno, raw.rstrip("\n")))
-            t = _parse_id(toks[0], lineno)
-            if t < 1:
-                raise GraphFormatError("line %d: snapshot index must be >= 1" % lineno)
-            if toks[1] == "n":
-                node = _parse_id(toks[2], lineno)
-                declared_by_t.setdefault(t, set()).add(node)
-                edges_by_t.setdefault(t, set())
-                continue
-            u = _parse_id(toks[1], lineno)
-            v = _parse_id(toks[2], lineno)
-            if u == v:
-                raise GraphFormatError("line %d: self-loop at line %d" % (lineno, lineno))
-            edges_by_t.setdefault(t, set()).add(edge_key(u, v))
-            declared_by_t.setdefault(t, set())
-    if not edges_by_t:
+        text = fh.read()
+    data = _COMMENT.sub(b"", text.encode("utf-8"))
+    raw = np.frombuffer(data, dtype=np.uint8)
+    starts, ends, line = _tokens(raw)
+
+    # rows are the lines of exactly three tokens before the first line of
+    # any other nonzero count
+    per_line = np.bincount(line)
+    malformed = np.flatnonzero((per_line != 0) & (per_line != 3))
+    stop = int(np.searchsorted(line, malformed[0])) if len(malformed) else len(starts)
+    value, ok = _integers(raw, starts[:stop], ends[:stop])
+    value, ok = value.reshape(-1, 3), ok.reshape(-1, 3)
+    t, u, v = value.T
+    mid = starts[1:stop:3]
+    node = (ends[1:stop:3] - mid == 1) & (raw[mid] == ord("n"))
+
+    # the checks of one row in the order the format states them: the
+    # first row with any failure reports its earliest one
+    checks = (
+        ("int", 0, ~ok[:, 0]),
+        ("negative", 0, t < 0),
+        ("snapshot", 0, t == 0),
+        ("int", 1, ~node & ~ok[:, 1]),
+        ("negative", 1, ~node & (u < 0)),
+        ("int", 2, ~ok[:, 2]),
+        ("negative", 2, v < 0),
+        ("loop", 1, ~node & (u == v)),
+    )
+    failed = np.any([flags for _, _, flags in checks], axis=0)
+    if failed.any():
+        row = int(np.argmax(failed))
+        lineno = int(line[3 * row]) + 1
+        kind, col = next((kind, col) for kind, col, flags in checks if flags[row])
+        tok = 3 * row + col
+        if kind == "int":
+            word = data[starts[tok]:ends[tok]].decode("utf-8")
+            digits = word[1:] if word[0] in "+-" else word
+            problem = ("id out of range" if digits.isascii() and digits.isdigit()
+                       else "not an integer")
+            raise GraphFormatError("line %d: %s: %r" % (lineno, problem, word))
+        if kind == "negative":
+            raise GraphFormatError("line %d: negative id %d" % (lineno, value[row, col]))
+        if kind == "snapshot":
+            raise GraphFormatError("line %d: snapshot index must be >= 1" % lineno)
+        raise GraphFormatError("line %d: self-loop at line %d" % (lineno, lineno))
+    if len(malformed):
+        lineno = int(malformed[0]) + 1
+        raise GraphFormatError("line %d: expected 't u v' or 't n id', got %r"
+                               % (lineno, text.split("\n")[lineno - 1]))
+    if not len(t):
         raise GraphFormatError("no snapshots")
-    snaps = []
-    for t in sorted(edges_by_t):
-        edges = sorted(edges_by_t[t])
-        nodes = declared_by_t.get(t, set()).union(*([set(e) for e in edges] or [set()]))
-        snaps.append(SnapshotGraph(nodes, edges, t=t))
-    return DynamicNetwork(snaps)
+
+    edge = ~node
+    et, lo, hi = _unique_rows(t[edge], np.minimum(u, v)[edge], np.maximum(u, v)[edge])
+    nt, ids = _unique_rows(np.concatenate([t[node], et, et]),
+                           np.concatenate([v[node], lo, hi]))
+    ts = np.unique(t)
+    e_at = np.searchsorted(et, ts).tolist() + [len(et)]
+    n_at = np.searchsorted(nt, ts).tolist() + [len(nt)]
+    lo, hi, ids = lo.tolist(), hi.tolist(), ids.tolist()
+    return DynamicNetwork(
+        SnapshotGraph(ids[n_at[k]:n_at[k + 1]],
+                      zip(lo[e_at[k]:e_at[k + 1]], hi[e_at[k]:e_at[k + 1]]), t=snap)
+        for k, snap in enumerate(ts.tolist()))
 
 
 def save_dynamic(net: DynamicNetwork, path) -> None:

@@ -6,9 +6,10 @@ nonempty community, in id order).  Extended modularity is Shen's form
     EQ = (1 / 2M) * sum_c sum_{i,j in c} (1 / (O_i O_j)) * (A_ij - k_i k_j / 2M)
 
 where O_i, the column sums of X, counts the communities holding node i.
-With W = X / O, community c adds W_c . (A W_c) - (W_c . k)^2 / 2M, all from
-one sparse product; ``math.fsum`` rounds the sum once, so EQ depends on the
-set of communities, not their order.  On a partition it is Newman modularity.
+With W = X / O, community c adds sum_{(i,j) in E} 2 W_ci W_cj - (W_c . k)^2 / 2M,
+its first part from one gather of W's columns by the edge list;
+``math.fsum`` rounds the sum once, so EQ depends on the set of communities,
+not their order.  On a partition it is Newman modularity.
 
 Cover similarity is the normalized-conditional-entropy NMI for overlapping
 covers (binary membership vectors, average normalization), with the pair
@@ -47,10 +48,11 @@ def extended_modularity(cover: Cover, g: SnapshotGraph) -> float:
     x = _cover_matrix(cover, g.node_index, "not in the snapshot")
     o = x.sum(axis=0)
     w = np.divide(x, o, out=np.zeros_like(x), where=o > 0)
-    # C order, so every row below is summed the same way wherever it sits
-    wa = np.ascontiguousarray((g.adjacency @ w.T).T)
+    ends = g.edge_array
     two_m = 2.0 * g.m
-    terms = (w * wa).sum(axis=1) - (w * g.degree_array).sum(axis=1) ** 2 / two_m
+    # 2 W_ci W_cj summed over the edges (i, j), every community c at once
+    inside = 2.0 * np.einsum("ek,ek->k", w.T[ends[:, 0]], w.T[ends[:, 1]])
+    terms = inside - (w * g.degree_array).sum(axis=1) ** 2 / two_m
     return math.fsum(terms) / two_m
 
 

@@ -20,8 +20,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from scipy.special import gammaln
-
 from .graphs import SnapshotGraph
 
 EdgeKey = tuple[int, int]
@@ -105,8 +103,8 @@ def crp_log_prob(sizes: Iterable[int], alpha: float) -> float:
     m = sum(ns)
     if m == 0:
         return 0.0
-    out = len(ns) * math.log(alpha) + float(gammaln(alpha) - gammaln(alpha + m))
-    out += float(sum(gammaln(s) for s in ns))
+    out = len(ns) * math.log(alpha) + (math.lgamma(alpha) - math.lgamma(alpha + m))
+    out += sum(math.lgamma(s) for s in ns)
     return out
 
 
@@ -133,6 +131,6 @@ def collapsed_partition_score(assignment: Mapping[EdgeKey, int],
         per_community.setdefault(r, []).append(c)
     for r, n_r in stats.n.items():
         for c in per_community[r]:
-            score += float(gammaln(gamma + c) - gammaln(gamma))
-        score -= float(gammaln(g0 + 2 * n_r) - gammaln(g0))
+            score += math.lgamma(gamma + c) - math.lgamma(gamma)
+        score -= math.lgamma(g0 + 2 * n_r) - math.lgamma(g0)
     return score

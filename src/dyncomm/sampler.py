@@ -113,7 +113,6 @@ class SamplerState:
         self.n_nodes = graph.n
         self.m = graph.m
         self._ends = graph.edge_array.tolist()
-        self._edge_pos = {e: a for a, e in enumerate(graph.edges)}
         self._prior_shape = np.full(self.n_nodes, hyper.gamma)
         # a brand-new community weighs alpha * gamma^2 / (gamma0 * (gamma0 + 1)),
         # the closed form of the Dirichlet-marginal edge probability
@@ -206,10 +205,6 @@ class SamplerState:
 
     # ---------------------------------------------------------------- moves
 
-    def remove_edge(self, e: EdgeKey) -> None:
-        """Take edge e out of its community (leave-one-out form)."""
-        self._remove_idx(self._edge_pos[e])
-
     def _remove_idx(self, a: int) -> None:
         row = int(self._assign_row[a])
         if row < 0:
@@ -238,16 +233,6 @@ class SamplerState:
         i, j = self._ends[a]
         w = np.multiply(self._seats[:high], self._beta[i, :high])
         return np.multiply(w, self._beta[j, :high], out=w)
-
-    def edge_weights(self, e: EdgeKey) -> tuple[dict[int, float], float]:
-        """Unnormalized seating weights the sampler would use for edge e
-        (which must currently be removed): existing communities and NEW."""
-        a = self._edge_pos[e]
-        if self._assign_row[a] >= 0:
-            raise ValueError("edge %r must be removed before weighing" % (e,))
-        rows = self._live_rows()
-        w = self._seat_weights(a)
-        return dict(zip(self._ids[rows].tolist(), w[rows].tolist())), self._new_w
 
     def draw_for_edge(self, a: int) -> int:
         """Draw a community for edge index ``a`` (currently removed).

@@ -7,6 +7,10 @@ engine against a form that shares none of its code:
 
     weight of community r = (n_r + n_r^prev) * beta_ir * beta_jr
     weight of a new one   = alpha * gamma_i * gamma_j / (gamma_0 * (gamma_0 + 1))
+
+The last three functions act on a ``SamplerState`` itself: they take one
+edge out of its community and read the weights the engine would draw it
+with, which only the tests need.
 """
 from __future__ import annotations
 
@@ -76,3 +80,25 @@ def new_group_weight(gamma, n_nodes: int, alpha: float, i: int, j: int) -> float
     vec = gamma_vector(gamma, n_nodes)
     g0 = float(vec.sum())
     return float(alpha) * float(vec[i]) * float(vec[j]) / (g0 * (g0 + 1.0))
+
+
+def edge_index(state, e) -> int:
+    """Position of edge e in the sampler state's edge order."""
+    return state.graph.edges.index(e)
+
+
+def remove_edge(state, e) -> None:
+    """Take edge e out of its community in a ``SamplerState`` (leave-one-out form)."""
+    state._remove_idx(edge_index(state, e))
+
+
+def edge_weights(state, e) -> tuple[dict[int, float], float]:
+    """Unnormalized seating weights a ``SamplerState`` would use for edge e
+    (which must currently be removed): existing communities by id, and a
+    brand-new one."""
+    a = edge_index(state, e)
+    if state._assign_row[a] >= 0:
+        raise ValueError("edge %r must be removed before weighing" % (e,))
+    rows = state._live_rows()
+    w = state._seat_weights(a)
+    return dict(zip(state._ids[rows].tolist(), w[rows].tolist())), state._new_w

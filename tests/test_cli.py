@@ -263,6 +263,38 @@ def test_detect_errors_are_nonzero_without_partial_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_failed_write_leaves_out_as_it_was(bench_dir, tmp_path, monkeypatch, capsys):
+    from dyncomm import cli
+    from dyncomm.metrics import MetricReport
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    monkeypatch.setattr(MetricReport, "save", fail)
+    out = runs / "det"
+    assert run_cli("detect", str(bench_dir / "network.txt"),
+                   str(fast_hyper(tmp_path)), "--seed", "3", "--out", str(out)) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert not (out / "covers.txt").exists()
+    assert not out.exists()
+    # an existing --out keeps exactly the files it had
+    out.mkdir()
+    (out / "covers.txt").write_text("old\n")
+    assert run_cli("detect", str(bench_dir / "network.txt"),
+                   str(fast_hyper(tmp_path)), "--seed", "3", "--out", str(out)) == 1
+    assert [p.name for p in out.iterdir()] == ["covers.txt"]
+    assert (out / "covers.txt").read_text() == "old\n"
+
+    monkeypatch.setattr(cli, "save_covers", fail)
+    gen = runs / "gen"
+    assert run_cli("generate", str(small_config(tmp_path)), "--seed", "5",
+                   "--out", str(gen)) == 1
+    assert not gen.exists()
+    assert [p.name for p in runs.iterdir()] == ["det"]
+
+
 def test_detect_requires_truth_covering_all_snapshots(bench_dir, tmp_path):
     partial = tmp_path / "partial.txt"
     keep = [ln for ln in (bench_dir / "truth.txt").read_text().splitlines()

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyncomm.graphs import (
     DynamicNetwork,
@@ -110,6 +114,16 @@ def test_degree_triangle_star_isolated():
     assert star.degrees[2] == 1
     iso = SnapshotGraph([0, 1, 5], [(0, 1)])
     assert iso.degrees[5] == 0
+    # compact order is (3, 7, 9)
+    g = SnapshotGraph([3, 7, 9], [(3, 9), (7, 9)])
+    assert np.array_equal(g.edge_array, [[0, 2], [1, 2]])
+    assert np.array_equal(g.degree_array, np.array([1.0, 1.0, 2.0]))
+
+
+def test_edge_array_rejects_dangling_endpoint():
+    for nodes in ([0, 1], [0, 6], []):
+        with pytest.raises(GraphFormatError, match="outside its nodes"):
+            SnapshotGraph(nodes, [(0, 5)]).edge_array
 
 
 def test_degree_sum_is_twice_edge_count():
@@ -152,16 +166,6 @@ def test_dynamic_network_rejects_empty():
         DynamicNetwork([])
 
 
-def test_adjacency_matches_edges():
-    g = SnapshotGraph([3, 7, 9], [(3, 9), (7, 9)])
-    a = g.adjacency.toarray()
-    assert a.shape == (3, 3)
-    # compact order is (3, 7, 9)
-    expected = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 0]], dtype=float)
-    assert np.array_equal(a, expected)
-    assert np.array_equal(g.degree_array, np.array([1.0, 1.0, 2.0]))
-
-
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     snaps = []
@@ -179,3 +183,82 @@ def test_save_load_round_trip(tmp_path):
         assert g1.t == g0.t
         assert g1.nodes == g0.nodes
         assert g1.edges == g0.edges
+
+
+@st.composite
+def networks(draw):
+    labels = sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=4)))
+    snaps = []
+    for t in labels:
+        ids = sorted(draw(st.sets(st.integers(0, 10**12), min_size=1, max_size=12)))
+        pairs = draw(st.sets(st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+                             .filter(lambda p: p[0] < p[1]), max_size=25))
+        snaps.append(SnapshotGraph(ids, sorted(pairs), t=t))
+    return DynamicNetwork(snaps)
+
+
+def scramble(lines, rnd):
+    """The same network written another valid way: lines shuffled, some
+    endpoints reversed and edges repeated, tabs and runs of spaces between
+    tokens, comments and blank lines added, and CRLF line ends."""
+    out = []
+    for line in lines:
+        t, a, b = line.split()
+        if a != "n" and rnd.random() < 0.5:
+            a, b = b, a
+        for _ in range(1 + (a != "n" and rnd.random() < 0.3)):
+            seps = [rnd.choice([" ", "\t", "  ", " \t "]) for _ in range(2)]
+            text = rnd.choice(["", " ", "\t"]) + t + seps[0] + a + seps[1] + b
+            out.append(text + rnd.choice(["", " ", "\t# note", "# n 1 2 3"]))
+        if rnd.random() < 0.2:
+            out.append(rnd.choice(["", "   ", "# comment", "\t#"]))
+    rnd.shuffle(out)
+    end = rnd.choice(["\n", "\r\n"])
+    return end.join(out) + rnd.choice(["", end])
+
+
+@given(net=networks(), rnd=st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_save_load_round_trip_property(tmp_path_factory, net, rnd):
+    p = tmp_path_factory.mktemp("rt") / "net.txt"
+    save_dynamic(net, p)
+    for text in (None, scramble(p.read_text().splitlines(), rnd)):
+        if text is not None:
+            p.write_text(text)
+        back = load_dynamic(p)
+        assert [g.t for g in back] == [g.t for g in net]
+        for g0, g1 in zip(net, back):
+            assert g1.nodes == g0.nodes
+            assert g1.edges == g0.edges
+            assert np.array_equal(g1.edge_array, g0.edge_array)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1 -1 5", "negative id -1"),
+    ("1 n -3", "negative id -3"),
+    ("1 2 x", "not an integer: 'x'"),
+    ("1\t2\t-x", "not an integer: '-x'"),
+    ("0 1 2", "snapshot index must be >= 1"),
+    ("1 4 4", "self-loop at line 4"),
+    ("1 2", "expected 't u v' or 't n id', got '1 2'"),
+    ("1 0 1 0.5  # weighted", "expected 't u v' or 't n id', got '1 0 1 0.5  # weighted'"),
+    ("1 0 123456789012345678901", "id out of range: '123456789012345678901'"),
+])
+def test_load_error_names_its_line(tmp_path, bad, message):
+    p = write(tmp_path, "# header\n1 0 1\n\n%s\n1 1 2\n1 2 3 4\n" % bad)
+    with pytest.raises(GraphFormatError, match="^%s$" % re.escape("line 4: " + message)):
+        load_dynamic(p)
+
+
+def test_load_reports_the_first_bad_line(tmp_path):
+    # a later row error does not hide an earlier malformed line, and the
+    # checks of one line run in the order the format states them
+    p = write(tmp_path, "1 0 1\n1 2\n1 -1 x\n")
+    with pytest.raises(GraphFormatError, match="^line 2: expected"):
+        load_dynamic(p)
+    p = write(tmp_path, "1 0 1\n1 -1 x\n1 2\n")
+    with pytest.raises(GraphFormatError, match="^line 2: negative id -1$"):
+        load_dynamic(p)
+    p = write(tmp_path, "-2 x 3\n")
+    with pytest.raises(GraphFormatError, match="^line 1: negative id -2$"):
+        load_dynamic(p)

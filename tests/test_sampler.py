@@ -19,7 +19,8 @@ from dyncomm.sampler import (
     init_assignments_first,
     run_snapshot,
 )
-from reference import crp_weights, edge_likelihood, new_group_weight, rcrp_weights
+from reference import (crp_weights, edge_index, edge_likelihood, edge_weights,
+                       new_group_weight, rcrp_weights, remove_edge)
 
 
 def random_graph(rng, n, tries):
@@ -173,12 +174,12 @@ def make_static_state(alpha=0.1, gamma=0.1):
 
 def test_static_edge_weights_hand_example():
     g, state, h = make_static_state()
-    state.remove_edge((0, 1))
+    remove_edge(state, (0, 1))
     row_a = state._row_of[100]
     row_b = state._row_of[200]
     state._beta[0, row_a], state._beta[1, row_a] = 0.2, 0.1
     state._beta[0, row_b], state._beta[1, row_b] = 0.5, 0.4
-    existing, new = state.edge_weights((0, 1))
+    existing, new = edge_weights(state, (0, 1))
     assert existing[100] == pytest.approx(0.06)
     assert existing[200] == pytest.approx(0.2)
     assert new == pytest.approx(5e-4)
@@ -186,12 +187,12 @@ def test_static_edge_weights_hand_example():
 
 def test_static_draw_frequencies_match_weights():
     g, state, h = make_static_state()
-    state.remove_edge((0, 1))
+    remove_edge(state, (0, 1))
     row_a = state._row_of[100]
     row_b = state._row_of[200]
     state._beta[0, row_a], state._beta[1, row_a] = 0.2, 0.1
     state._beta[0, row_b], state._beta[1, row_b] = 0.5, 0.4
-    a = state._edge_pos[(0, 1)]
+    a = edge_index(state, (0, 1))
     hits = Counter()
     for _ in range(30_000):
         cid = state.draw_for_edge(a)
@@ -209,12 +210,12 @@ def test_dynamic_edge_weights_hand_example():
     assign = {(0, 1): 100, (0, 2): 100, (1, 2): 100, (5, 6): 200, (6, 7): 200}
     h = HyperParams()
     state = SamplerState(g, assign, {100: 4, 300: 6}, h, np.random.default_rng(1))
-    state.remove_edge((0, 1))
+    remove_edge(state, (0, 1))
     state._beta[0, state._row_of[100]] = 0.3
     state._beta[1, state._row_of[100]] = 0.3
     state._beta[0, state._row_of[300]] = 0.5
     state._beta[1, state._row_of[300]] = 0.2
-    existing, new = state.edge_weights((0, 1))
+    existing, new = edge_weights(state, (0, 1))
     assert existing[100] == pytest.approx(0.54)
     # previous-only community stays revivable with weight prev_size * beta product
     assert existing[300] == pytest.approx(6 * 0.1)
@@ -226,8 +227,8 @@ def test_new_community_id_is_fresh():
     assign = {(0, 1): 0, (0, 2): 0, (1, 2): 0, (5, 6): 1, (6, 7): 1}
     h = HyperParams(alpha=50.0)  # make NEW likely
     state = SamplerState(g, assign, {0: 4, 2: 6}, h, np.random.default_rng(2))
-    state.remove_edge((0, 1))
-    a = state._edge_pos[(0, 1)]
+    remove_edge(state, (0, 1))
+    a = edge_index(state, (0, 1))
     for _ in range(200):
         cid = state.draw_for_edge(a)
         if cid not in (0, 1, 2):
@@ -250,8 +251,8 @@ def test_edge_weights_agree_with_model_kernels():
         state = SamplerState(g, assign, prev_counts, h, rng)
         probe = g.edges[int(rng.integers(0, g.m))]
         seating = state.G
-        state.remove_edge(probe)
-        existing, new = state.edge_weights(probe)
+        remove_edge(state, probe)
+        existing, new = edge_weights(state, probe)
 
         del seating[probe]
         stats = CommunityStats.from_assignment(seating)
@@ -275,8 +276,8 @@ def test_edge_weights_agree_with_model_kernels():
 def test_leave_one_out_restores_stats():
     g, state, h = make_static_state()
     before = state._seats.copy(), state._node_counts()
-    state.remove_edge((0, 1))
-    state._add_idx(state._edge_pos[(0, 1)], 200)
+    remove_edge(state, (0, 1))
+    state._add_idx(edge_index(state, (0, 1)), 200)
     assert np.array_equal(state._seats, before[0])
     assert np.array_equal(state._node_counts(), before[1])
     state.check_consistency()
@@ -287,10 +288,10 @@ def test_leave_one_out_restores_stats_after_row_retirement():
     h = HyperParams()
     state = SamplerState(g, {(0, 1): 0, (2, 3): 1}, None, h, np.random.default_rng(4))
     before = CommunityStats.from_assignment(state.G)
-    state.remove_edge((2, 3))  # community 1 dies with its only edge
+    remove_edge(state, (2, 3))  # community 1 dies with its only edge
     assert 1 not in state._row_of
     state._beta[:, state._acquire_row(1)] = state._prior_beta()
-    state._add_idx(state._edge_pos[(2, 3)], 1)
+    state._add_idx(edge_index(state, (2, 3)), 1)
     state.check_consistency()
     after = CommunityStats.from_assignment(state.G)
     assert before.n == after.n
@@ -301,7 +302,7 @@ def test_G_refuses_an_unseated_edge():
     g = SnapshotGraph(range(3), [(0, 1), (1, 2)])
     state = SamplerState(g, {(0, 1): 0, (1, 2): 0}, None, HyperParams(),
                          np.random.default_rng(0))
-    state.remove_edge((0, 1))
+    remove_edge(state, (0, 1))
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         state.G
     for _ in range(state._cap):  # every row live, the last one included
