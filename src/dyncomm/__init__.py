@@ -14,7 +14,7 @@ from .benchgen import (Event, GenConfig, GenError, GenSchedule, GroundTruth,
                        apply_events, generate_dynamic, generate_snapshot,
                        load_schedule, plant_memberships, preset)
 from .graphs import (DynamicNetwork, GraphFormatError, SnapshotGraph,
-                     load_dynamic, save_dynamic, validate)
+                     load_dynamic, save_dynamic)
 from .membership import (Cover, SoftMembership, extract_cover, load_covers,
                          save_covers, select_best)
 from .metrics import (MetricReport, MetricRow, extended_modularity,
@@ -31,7 +31,7 @@ __all__ = [
     "apply_events", "generate_dynamic", "generate_snapshot", "load_schedule",
     "plant_memberships", "preset",
     "DynamicNetwork", "GraphFormatError", "SnapshotGraph", "load_dynamic",
-    "save_dynamic", "validate",
+    "save_dynamic",
     "Cover", "SoftMembership", "extract_cover", "load_covers", "save_covers",
     "select_best",
     "MetricReport", "MetricRow", "extended_modularity", "overlapping_nmi",

@@ -29,16 +29,6 @@ class GraphFormatError(ValueError):
     """Malformed or invalid snapshot edge-list input."""
 
 
-def edge_key(u: int, v: int) -> tuple[int, int]:
-    """Canonical undirected form of an edge: ``(min(u, v), max(u, v))``.
-
-    Raises GraphFormatError for a self-loop, which has no canonical form.
-    """
-    if u == v:
-        raise GraphFormatError("self-loop (%d, %d) is not a valid edge" % (u, v))
-    return (u, v) if u < v else (v, u)
-
-
 class SnapshotGraph:
     """One snapshot: a simple undirected graph with stable integer node ids.
 
@@ -114,33 +104,6 @@ class DynamicNetwork:
 
     def __getitem__(self, i: int) -> SnapshotGraph:
         return self.snapshots[i]
-
-
-def validate(g: SnapshotGraph) -> list[str]:
-    """Check all SnapshotGraph invariants; return every violation found.
-
-    An empty list means the snapshot is valid.
-    """
-    violations: list[str] = []
-    node_set = set(g.nodes)
-    for v in g.nodes:
-        if v < 0:
-            violations.append("negative node id %d" % v)
-    seen: set[tuple[int, int]] = set()
-    for u, v in g.edges:
-        if u == v:
-            violations.append("self-loop (%d, %d)" % (u, v))
-            continue
-        if u > v:
-            violations.append("non-canonical edge (%d, %d); expected u < v" % (u, v))
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            violations.append("duplicate edge (%d, %d)" % key)
-        seen.add(key)
-        for x in (u, v):
-            if x not in node_set:
-                violations.append("dangling endpoint %d of edge (%d, %d)" % (x, u, v))
-    return violations
 
 
 # ASCII whitespace separates tokens; a comment runs from # to the line's end

@@ -20,11 +20,18 @@ Moving an edge writes only its row in the seating and one seat count.  The
 per-node endpoint counts and the current sizes are recounted from the
 seating with ``np.bincount`` where they are read: the maximum-likelihood
 start, and the beta redraw once per sweep.
+
+``detect_dynamic`` fits each snapshot with independent chains and runs
+them in parallel worker processes, up to the CPUs this process may use.
+Each chain draws from its own seed and takes fresh community ids from its
+own allocator, so a seed gives the same bytes for any number of CPUs.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -439,26 +446,72 @@ def detect_dynamic(net: DynamicNetwork, hyper: HyperParams | None = None,
     starting summary for the next snapshot, so community ids stay
     comparable through time.  An empty snapshot passes nothing on: the
     next snapshot starts from the last non-empty one's summary.
+
+    The chains of a snapshot run in parallel worker processes, one per
+    chain up to the CPUs this process may use; with one chain, or one
+    usable CPU, they run in this process and no pool starts.  Chain ``c``
+    of snapshot ``pos`` draws from ``[seed, pos, c]`` and takes fresh ids
+    from its own allocator, started where the previous snapshot's winner
+    stopped, so a seed gives the same result for any number of CPUs.  An
+    exception raised in a chain reaches the caller.  The workers are
+    started with ``spawn`` and import the caller's main module again, so a
+    script that runs several chains keeps its top-level work under
+    ``if __name__ == "__main__":``.
     """
     hyper = hyper if hyper is not None else HyperParams()
     if chains < 1:
         raise ValueError("chains must be >= 1")
-    alloc = CommunityIdAllocator()
+    root = _seed_root(seed)
+    workers = min(chains, _usable_cpus())
+    if workers == 1:
+        return _detect(net, hyper, root, chains, map)
+    # imported here so that single-chain runs never pay for the pool modules
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return _detect(net, hyper, root, chains, pool.map)
+
+
+def _detect(net: DynamicNetwork, hyper: HyperParams, root: int, chains: int,
+            map_chains) -> list[SnapshotResult]:
+    """``detect_dynamic``'s snapshot loop; ``map_chains`` is ``map`` or a
+    pool's ``map`` and runs ``_fit_chain`` over the chains of a snapshot."""
+    high = 0
     prev: PrevSummary | None = None
     results: list[SnapshotResult] = []
     for pos, g in enumerate(net):
-        best: tuple[Cover, SampleRecord, int] | None = None
-        for c in range(chains):
-            rng = np.random.default_rng([_seed_root(seed), pos, c])
-            records = run_snapshot(g, prev, hyper, rng, alloc=alloc)
-            cover, rec = select_best([(r, r.cover) for r in records])
+        fit = partial(_fit_chain, g, prev, hyper, root, pos, high)
+        best: tuple[Cover, SampleRecord, int, int] | None = None
+        for c, (cover, rec, chain_high) in enumerate(map_chains(fit, range(chains))):
             if best is None or rec.modularity > best[1].modularity:
-                best = (cover, rec, c)
-        cover, rec, c = best
+                best = (cover, rec, c, chain_high)
+        cover, rec, c, high = best
         results.append(SnapshotResult(g.t, g, cover, rec, c))
         if g.m:
             prev = PrevSummary.from_record(rec)
     return results
+
+
+def _fit_chain(g: SnapshotGraph, prev: PrevSummary | None, hyper: HyperParams,
+               root: int, pos: int, high: int,
+               chain: int) -> tuple[Cover, SampleRecord, int]:
+    """Fit chain ``chain`` of snapshot ``pos`` with fresh ids from ``high``
+    on; return its best sweep's cover and record and the chain's id
+    high-water mark.  Runs in a worker process when chains run in parallel,
+    so only the winning sweep travels back."""
+    alloc = CommunityIdAllocator(high)
+    rng = np.random.default_rng([root, pos, chain])
+    records = run_snapshot(g, prev, hyper, rng, alloc=alloc)
+    cover, rec = select_best([(r, r.cover) for r in records])
+    return cover, rec, alloc.high_water
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _seed_root(seed) -> int:

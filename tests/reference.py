@@ -8,9 +8,12 @@ engine against a form that shares none of its code:
     weight of community r = (n_r + n_r^prev) * beta_ir * beta_jr
     weight of a new one   = alpha * gamma_i * gamma_j / (gamma_0 * (gamma_0 + 1))
 
-The last three functions act on a ``SamplerState`` itself: they take one
-edge out of its community and read the weights the engine would draw it
-with, which only the tests need.
+Three functions act on a ``SamplerState`` itself: they take one edge out
+of its community and read the weights the engine would draw it with, which
+only the tests need.  The last two are the edge-list invariants written out
+edge by edge: ``edge_key`` gives an edge's canonical form, and ``validate``
+lists every way a ``SnapshotGraph`` breaks the invariants that
+``load_dynamic`` and the generator must keep.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
+from dyncomm.graphs import GraphFormatError, SnapshotGraph
 from dyncomm.model import CommunityStats
 
 
@@ -102,3 +106,40 @@ def edge_weights(state, e) -> tuple[dict[int, float], float]:
     rows = state._live_rows()
     w = state._seat_weights(a)
     return dict(zip(state._ids[rows].tolist(), w[rows].tolist())), state._new_w
+
+
+def edge_key(u: int, v: int) -> tuple[int, int]:
+    """Canonical undirected form of an edge: ``(min(u, v), max(u, v))``.
+
+    Raises GraphFormatError for a self-loop, which has no canonical form.
+    """
+    if u == v:
+        raise GraphFormatError("self-loop (%d, %d) is not a valid edge" % (u, v))
+    return (u, v) if u < v else (v, u)
+
+
+def validate(g: SnapshotGraph) -> list[str]:
+    """Check all SnapshotGraph invariants; return every violation found.
+
+    An empty list means the snapshot is valid.
+    """
+    violations: list[str] = []
+    node_set = set(g.nodes)
+    for v in g.nodes:
+        if v < 0:
+            violations.append("negative node id %d" % v)
+    seen: set[tuple[int, int]] = set()
+    for u, v in g.edges:
+        if u == v:
+            violations.append("self-loop (%d, %d)" % (u, v))
+            continue
+        if u > v:
+            violations.append("non-canonical edge (%d, %d); expected u < v" % (u, v))
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            violations.append("duplicate edge (%d, %d)" % key)
+        seen.add(key)
+        for x in (u, v):
+            if x not in node_set:
+                violations.append("dangling endpoint %d of edge (%d, %d)" % (x, u, v))
+    return violations

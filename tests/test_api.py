@@ -16,7 +16,7 @@ PUBLIC_API = [
     "generate_snapshot", "gibbs_sweep", "init_assignments_carry",
     "init_assignments_first", "load_covers", "load_dynamic",
     "load_schedule", "overlapping_nmi", "plant_memberships", "preset",
-    "run_snapshot", "save_covers", "save_dynamic", "select_best", "validate",
+    "run_snapshot", "save_covers", "save_dynamic", "select_best",
 ]
 
 

@@ -16,7 +16,7 @@ from dyncomm.benchgen import (
     plant_memberships,
     preset,
 )
-from dyncomm.graphs import validate
+from reference import validate
 
 
 def membership_map(cover):

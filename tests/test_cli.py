@@ -2,13 +2,19 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dyncomm
 from dyncomm.cli import entry_point
-from dyncomm.graphs import load_dynamic, validate
+from dyncomm.graphs import load_dynamic
 from dyncomm.membership import load_covers
+from reference import validate
 
 
 def run_cli(*argv):
@@ -260,6 +266,44 @@ def test_detect_errors_are_nonzero_without_partial_output(tmp_path, capsys):
     net = tmp_path / "bad.txt"
     net.write_text("1 5 5\n")
     assert run_cli("detect", str(net), "--out", str(out)) == 1
+    assert not out.exists()
+
+
+FAILING_CHAIN = """\
+import os
+import sys
+from dyncomm import cli, sampler
+
+
+def fail(*args):
+    raise ValueError("chain failed in process %d" % os.getpid())
+
+
+# at module level, so the spawned workers, which import this script again,
+# fail as well
+sampler._fit_chain = fail
+sampler._usable_cpus = lambda: 2
+
+if __name__ == "__main__":
+    print("parent process %d" % os.getpid(), file=sys.stderr)
+    sys.exit(cli.entry_point(sys.argv[1:]))
+"""
+
+
+def test_detect_exits_nonzero_when_a_worker_chain_fails(bench_dir, tmp_path):
+    script = tmp_path / "failing_chain.py"
+    script.write_text(FAILING_CHAIN)
+    out = tmp_path / "det"
+    src = Path(dyncomm.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, str(script), "detect",
+                           str(bench_dir / "network.txt"), "--chains", "2",
+                           "--seed", "3", "--out", str(out)],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stderr
+    parent = int(done.stderr.split("parent process ")[1].split()[0])
+    failed = int(done.stderr.split("error: chain failed in process ")[1].split()[0])
+    assert failed != parent
     assert not out.exists()
 
 

@@ -9,11 +9,10 @@ from dyncomm.graphs import (
     DynamicNetwork,
     GraphFormatError,
     SnapshotGraph,
-    edge_key,
     load_dynamic,
     save_dynamic,
-    validate,
 )
+from reference import edge_key, validate
 
 
 def write(tmp_path, text, name="net.txt"):

@@ -1,3 +1,5 @@
+import multiprocessing
+import time
 from collections import Counter
 
 import numpy as np
@@ -5,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyncomm.graphs import DynamicNetwork, SnapshotGraph
-from dyncomm.membership import Cover
+from dyncomm import sampler
+from dyncomm.graphs import DynamicNetwork, GraphFormatError, SnapshotGraph
+from dyncomm.membership import Cover, select_best
 from dyncomm.metrics import overlapping_nmi
 from dyncomm.model import CommunityStats, HyperParams, collapsed_partition_score
 from dyncomm.sampler import (
@@ -569,6 +572,67 @@ def test_detect_dynamic_multiple_chains_pick_best():
     multi = detect_dynamic(net, h, seed=7, chains=3)
     assert multi[0].record.modularity >= single[0].record.modularity
     assert multi[0].chain in (0, 1, 2)
+
+
+def three_snapshots(seed):
+    rng = np.random.default_rng(seed)
+    return DynamicNetwork([SnapshotGraph(range(12), random_graph(rng, 12, 40).edges, t=t)
+                           for t in (1, 2, 3)])
+
+
+def children_gone(timeout=30.0):
+    """Poll until this process has no live child processes, or time out."""
+    deadline = time.monotonic() + timeout
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return multiprocessing.active_children() == []
+
+
+def test_detect_dynamic_same_result_for_any_worker_count(monkeypatch):
+    # seed 0 is won by chains 0, 1 and 2 in turn, so ids drawn by every
+    # chain's allocator reach the output
+    net = three_snapshots(32)
+    h = HyperParams(s_first=10, s_later=6)
+    runs = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
+        runs[cpus] = detect_dynamic(net, h, seed=0, chains=3)
+    assert [r.chain for r in runs[1]] == [0, 1, 2]
+    for cpus in (2, 3):
+        for a, b in zip(runs[1], runs[cpus]):
+            assert a.cover.communities == b.cover.communities
+            assert a.record.modularity == b.record.modularity
+            assert a.chain == b.chain
+    assert children_gone()
+
+
+def test_winning_chain_ids_do_not_depend_on_other_chains(monkeypatch):
+    # chain 1 wins t=1 for seed 1; its ids must be those of the same chain
+    # fitted alone, not shifted past the ids chain 0 used
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
+    net = three_snapshots(32)
+    h = HyperParams(s_first=10, s_later=6)
+    first = detect_dynamic(net, h, seed=1, chains=2)[0]
+    assert first.chain == 1
+    records = run_snapshot(net[0], None, h, np.random.default_rng([1, 0, 1]),
+                           alloc=CommunityIdAllocator())
+    cover, record = select_best([(r, r.cover) for r in records])
+    assert first.cover.communities == cover.communities
+    assert first.record.sweep_index == record.sweep_index
+
+
+def test_chain_error_in_a_worker_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+    # endpoint 5 is not a node, so edge_array raises inside each chain
+    bad = DynamicNetwork([SnapshotGraph([0, 1, 2], [(0, 1), (1, 5)], t=1)])
+    with pytest.raises(GraphFormatError, match="outside its nodes") as err:
+        detect_dynamic(bad, HyperParams(s_first=2), seed=1, chains=2)
+    assert type(err.value.__cause__).__name__ == "_RemoteTraceback"
+    assert children_gone()
+    results = detect_dynamic(three_snapshots(32), HyperParams(s_first=2, s_later=2),
+                             seed=1, chains=2)
+    assert [r.t for r in results] == [1, 2, 3]
+    assert children_gone()
 
 
 # ---------------------------------------------------------------- posterior smoke
