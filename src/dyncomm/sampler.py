@@ -22,12 +22,15 @@ seating with ``np.bincount`` where they are read: the maximum-likelihood
 start, and the beta redraw once per sweep.
 
 ``detect_dynamic`` fits each snapshot with independent chains and runs
-them in parallel worker processes, up to the CPUs this process may use.
-Each chain draws from its own seed and takes fresh community ids from its
-own allocator, so a seed gives the same bytes for any number of CPUs.
+them in parallel, up to the CPUs this process may use: the calling
+process fits a share of the chains itself and worker processes fit the
+rest.  Each chain draws from its own seed and takes fresh community ids
+from its own allocator, so a seed gives the same bytes for any number of
+CPUs.
 """
 from __future__ import annotations
 
+import copy
 import math
 import os
 from dataclasses import dataclass, field
@@ -447,15 +450,18 @@ def detect_dynamic(net: DynamicNetwork, hyper: HyperParams | None = None,
     comparable through time.  An empty snapshot passes nothing on: the
     next snapshot starts from the last non-empty one's summary.
 
-    The chains of a snapshot run in parallel worker processes, one per
-    chain up to the CPUs this process may use; with one chain, or one
-    usable CPU, they run in this process and no pool starts.  Chain ``c``
-    of snapshot ``pos`` draws from ``[seed, pos, c]`` and takes fresh ids
-    from its own allocator, started where the previous snapshot's winner
-    stopped, so a seed gives the same result for any number of CPUs.  An
-    exception raised in a chain reaches the caller.  The workers are
-    started with ``spawn`` and import the caller's main module again, so a
-    script that runs several chains keeps its top-level work under
+    The chains of a snapshot run in parallel on ``w``, the smaller of
+    ``chains`` and the CPUs this process may use: this process fits chains
+    ``0, w, 2w, ...`` while a pool of ``w - 1`` worker processes fits the
+    others, so the workers start up while this process is already
+    sampling.  With ``w == 1`` every chain runs in this process and no pool
+    starts.  Chain ``c`` of snapshot ``pos`` draws from ``[seed, pos, c]``
+    and takes fresh ids from its own allocator, started where the previous
+    snapshot's winner stopped, so a seed gives the same result for any
+    number of CPUs.  An exception raised in a chain, in this process or in
+    a worker, reaches the caller.  The workers are started with ``spawn``
+    and import the caller's main module again, so a script that runs
+    several chains keeps its top-level work under
     ``if __name__ == "__main__":``.
     """
     hyper = hyper if hyper is not None else HyperParams()
@@ -469,14 +475,15 @@ def detect_dynamic(net: DynamicNetwork, hyper: HyperParams | None = None,
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return _detect(net, hyper, root, chains, pool.map)
+    with ProcessPoolExecutor(workers - 1,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return _detect(net, hyper, root, chains, partial(_fit_shared, pool, workers))
 
 
 def _detect(net: DynamicNetwork, hyper: HyperParams, root: int, chains: int,
             map_chains) -> list[SnapshotResult]:
-    """``detect_dynamic``'s snapshot loop; ``map_chains`` is ``map`` or a
-    pool's ``map`` and runs ``_fit_chain`` over the chains of a snapshot."""
+    """``detect_dynamic``'s snapshot loop; ``map_chains`` is ``map`` or
+    ``_fit_shared`` and runs ``_fit_chain`` over the chains of a snapshot."""
     high = 0
     prev: PrevSummary | None = None
     results: list[SnapshotResult] = []
@@ -493,12 +500,23 @@ def _detect(net: DynamicNetwork, hyper: HyperParams, root: int, chains: int,
     return results
 
 
+def _fit_shared(pool, workers: int, fit, chains: range) -> list:
+    """Fit chains ``0, workers, 2 * workers, ...`` in this process while
+    ``pool`` fits the others; return every chain's fit in chain order."""
+    away = pool.map(fit, [c for c in chains if c % workers])
+    # a pool thread pickles the snapshot while this process samples, and
+    # sampling caches arrays on the snapshot, so the chains here fit a copy
+    here = partial(fit.func, copy.copy(fit.args[0]), *fit.args[1:])
+    mine = iter([here(c) for c in chains if c % workers == 0])
+    return [next(away) if c % workers else next(mine) for c in chains]
+
+
 def _fit_chain(g: SnapshotGraph, prev: PrevSummary | None, hyper: HyperParams,
                root: int, pos: int, high: int,
                chain: int) -> tuple[Cover, SampleRecord, int]:
     """Fit chain ``chain`` of snapshot ``pos`` with fresh ids from ``high``
     on; return its best sweep's cover and record and the chain's id
-    high-water mark.  Runs in a worker process when chains run in parallel,
+    high-water mark.  Runs in a worker process for the chains a pool fits,
     so only the winning sweep travels back."""
     alloc = CommunityIdAllocator(high)
     rng = np.random.default_rng([root, pos, chain])

@@ -621,13 +621,29 @@ def test_winning_chain_ids_do_not_depend_on_other_chains(monkeypatch):
     assert first.record.sweep_index == record.sweep_index
 
 
+class FailsInWorkers(SnapshotGraph):
+    """A snapshot that a worker process refuses and this process accepts."""
+
+    @property
+    def edge_array(self):
+        if multiprocessing.parent_process() is not None:
+            raise GraphFormatError("%r is refused in a worker" % self)
+        return SnapshotGraph.edge_array.func(self)
+
+
 def test_chain_error_in_a_worker_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
-    # endpoint 5 is not a node, so edge_array raises inside each chain
-    bad = DynamicNetwork([SnapshotGraph([0, 1, 2], [(0, 1), (1, 5)], t=1)])
-    with pytest.raises(GraphFormatError, match="outside its nodes") as err:
-        detect_dynamic(bad, HyperParams(s_first=2), seed=1, chains=2)
+    # chain 0 runs in this process and passes; chain 1 fails in the worker
+    g = FailsInWorkers([0, 1, 2], [(0, 1), (1, 2)], t=1)
+    with pytest.raises(GraphFormatError, match="refused in a worker") as err:
+        detect_dynamic(DynamicNetwork([g]), HyperParams(s_first=2), seed=1, chains=2)
     assert type(err.value.__cause__).__name__ == "_RemoteTraceback"
+    assert children_gone()
+    # endpoint 5 is not a node, so edge_array raises in every chain, first
+    # in the one this process fits
+    bad = DynamicNetwork([SnapshotGraph([0, 1, 2], [(0, 1), (1, 5)], t=1)])
+    with pytest.raises(GraphFormatError, match="outside its nodes"):
+        detect_dynamic(bad, HyperParams(s_first=2), seed=1, chains=2)
     assert children_gone()
     results = detect_dynamic(three_snapshots(32), HyperParams(s_first=2, s_later=2),
                              seed=1, chains=2)
