@@ -350,7 +350,12 @@ def generate_snapshot(cover: Cover, cfg: GenConfig, rng: np.random.Generator,
     Within-community edges are uniform member pairs (the planted importance
     vectors are uniform over members), apportioned to communities by size;
     a ``mixing`` fraction of the edge budget becomes uniform background
-    pairs.  Simple-graph and max-degree constraints hold by rejection.
+    pairs.  Simple-graph and max-degree constraints hold by rejection.  A
+    pool whose rejection loop runs out of attempts places the rest exactly,
+    uniformly among its pairs that are not edges yet and whose endpoints
+    both have room; what a community still cannot place goes to the
+    background budget, and only a background that cannot be placed either
+    is an error.
     """
     nodes = cover.covered_nodes()
     if nodes != set(range(cfg.n)):
@@ -365,15 +370,19 @@ def generate_snapshot(cover: Cover, cfg: GenConfig, rng: np.random.Generator,
     deg = np.zeros(cfg.n, dtype=np.int64)
     edges: set[tuple[int, int]] = set()
 
-    def place(pool: list[int], want: int, label: str) -> None:
+    def seat(i: int, j: int) -> None:
+        edges.add((i, j) if i < j else (j, i))
+        deg[i] += 1
+        deg[j] += 1
+
+    def place(pool: list[int], want: int) -> int:
+        """Place ``want`` edges among the sorted ``pool``; return how many
+        could not be placed."""
         attempts = 0
         limit = 200 * want + 200
         placed = 0
-        while placed < want:
+        while placed < want and attempts < limit:
             attempts += 1
-            if attempts > limit:
-                raise GenError("degree target infeasible: placed %d of %d %s edges"
-                               % (placed, want, label))
             i = pool[int(rng.integers(0, len(pool)))]
             j = pool[int(rng.integers(0, len(pool)))]
             if i == j:
@@ -381,14 +390,34 @@ def generate_snapshot(cover: Cover, cfg: GenConfig, rng: np.random.Generator,
             key = (i, j) if i < j else (j, i)
             if key in edges or deg[i] >= cap or deg[j] >= cap:
                 continue
-            edges.add(key)
-            deg[i] += 1
-            deg[j] += 1
+            seat(i, j)
             placed += 1
+        if placed == want:
+            return 0
+        members = np.asarray(pool, dtype=np.int64)
+        upper, lower = np.triu_indices(len(members), 1)
+        i, j = members[upper], members[lower]
+        taken = np.fromiter((a * cfg.n + b for a, b in edges), dtype=np.int64, count=len(edges))
+        unused = ~np.isin(i * cfg.n + j, taken)
+        i, j = i[unused], j[unused]
+        while placed < want:
+            room = (deg[i] < cap) & (deg[j] < cap)
+            i, j = i[room], j[room]
+            if len(i) == 0:
+                break
+            k = int(rng.integers(0, len(i)))
+            seat(int(i[k]), int(j[k]))
+            i, j = np.delete(i, k), np.delete(j, k)
+            placed += 1
+        return want - placed
 
+    short = 0
     for c, m_c in zip(cids, budgets):
-        place(member_lists[c], m_c, "community-%d" % c)
-    place(list(range(cfg.n)), bg_target, "background")
+        short += place(member_lists[c], m_c)
+    missing = place(list(range(cfg.n)), bg_target + short)
+    if missing:
+        raise GenError("degree target infeasible: placed %d of %d background edges"
+                       % (bg_target + short - missing, bg_target + short))
     return SnapshotGraph(range(cfg.n), sorted(edges), t=t)
 
 

@@ -13,13 +13,17 @@ size, as a float), and one column of the nodes-by-rows beta array, so that
 one node's betas over all rows are contiguous.  Rows are recycled through
 a free list while community ids stay monotone and are never reused.
 
-A seating draw reads these arrays directly: the weights of every row below
-the high-water mark are ``seats * beta_i * beta_j``, and a free row has
-seat count 0, so it weighs 0 and the running sum can never stop on it.
-Moving an edge writes only its row in the seating and one seat count.  The
-per-node endpoint counts and the current sizes are recounted from the
-seating with ``np.bincount`` where they are read: the maximum-likelihood
-start, and the beta redraw once per sweep.
+``gibbs_sweep`` is the only code that seats edges: one loop over the
+shuffled edges.  A seating draw reads the arrays directly: the weights of
+every row below the high-water mark are ``seats * beta_i * beta_j``, and
+a free row has seat count 0, so it weighs 0 and the running sum can never
+stop on it.  The running sum is taken in place, and its last entry plus
+the new-community weight is the total the draw is scaled by.  The seating
+and the seat counts are Python lists for the length of the sweep; moving
+an edge writes its list entries and writes the seat count through to the
+array the weights read.  The per-node endpoint counts and the current
+sizes are recounted from the seating with ``np.bincount`` where they are
+read: the maximum-likelihood start, and the beta redraw once per sweep.
 
 ``detect_dynamic`` fits each snapshot with independent chains and runs
 them in parallel, up to the CPUs this process may use: the calling
@@ -215,53 +219,6 @@ class SamplerState:
 
     # ---------------------------------------------------------------- moves
 
-    def _remove_idx(self, a: int) -> None:
-        row = int(self._assign_row[a])
-        if row < 0:
-            raise ValueError("edge %r is not currently assigned" % (self.graph.edges[a],))
-        self._assign_row[a] = -1
-        self._seats[row] -= 1.0
-        if self._seats[row] == 0.0:
-            self._release_row(row)
-
-    def _add_idx(self, a: int, cid: int) -> None:
-        row = self._row_of[cid]
-        self._assign_row[a] = row
-        self._seats[row] += 1.0
-
-    def _seat_weights(self, a: int) -> np.ndarray:
-        """The seating weight of every row below the high-water mark for
-        removed edge index ``a``.
-
-        The weight of a live community is (current + carried size) times
-        the edge likelihood, which covers the first-snapshot case (carried
-        sizes all zero), communities born this snapshot, and carried-over
-        ones in a single expression.  A free row has seat count 0, so it
-        weighs 0.
-        """
-        high = self._high
-        i, j = self._ends[a]
-        w = np.multiply(self._seats[:high], self._beta[i, :high])
-        return np.multiply(w, self._beta[j, :high], out=w)
-
-    def draw_for_edge(self, a: int) -> int:
-        """Draw a community for edge index ``a`` (currently removed).
-
-        Choosing a brand-new community allocates a fresh id with a prior
-        beta draw.
-        """
-        w = self._seat_weights(a)
-        total = float(np.add.reduce(w)) + self._new_w
-        if not math.isfinite(total) or total <= 0.0:
-            return self._create_community()
-        u = self.rng.random() * total
-        # a free row adds 0 to the running sum, so the first position whose
-        # sum exceeds u is always a live row
-        row = int(np.add.accumulate(w, out=w).searchsorted(u, side="right"))
-        if row >= len(w):
-            return self._create_community()
-        return int(self._ids[row])
-
     def _create_community(self) -> int:
         cid = self.alloc.fresh()
         row = self._acquire_row(cid)
@@ -392,12 +349,59 @@ def init_assignments_carry(g: SnapshotGraph, prev_assignment: Mapping[EdgeKey, i
 
 
 def gibbs_sweep(state: SamplerState) -> SamplerState:
-    """One full pass: every edge reassigned in shuffled order, then betas
-    redrawn.  Mutates and returns the state."""
-    for a in state.rng.permutation(state.m).tolist():
-        state._remove_idx(a)
-        cid = state.draw_for_edge(a)
-        state._add_idx(a, cid)
+    """One full pass: every edge reseated in shuffled order, then betas
+    redrawn.  Mutates and returns the state.
+
+    Per edge: take it out of its row (releasing the row when its seat count
+    reaches 0), weigh every row below the high-water mark with
+    ``seats * beta_i * beta_j``, take the running sum of those weights in
+    place, and draw the row where the running sum first exceeds
+    ``u * (sum + new_w)``; past the last row, open a new community.  Then
+    seat the edge in the row drawn.
+    """
+    unseated = np.flatnonzero(state._assign_row < 0)
+    if len(unseated):
+        raise ValueError("edge %r is not currently assigned"
+                         % (state.graph.edges[unseated[0]],))
+    rng = state.rng
+    order = rng.permutation(state.m).tolist()
+    random, ends, new_w = rng.random, state._ends, state._new_w
+    multiply, accumulate = np.multiply, np.add.accumulate
+    assign = state._assign_row.tolist()
+    counts = state._seats.tolist()
+    seats, high = state._seats, state._high
+    seats_h, beta_h = seats[:high], list(state._beta[:, :high])
+    w = np.empty(high)
+    for a in order:
+        row = assign[a]
+        c = counts[row] - 1.0
+        counts[row] = seats[row] = c
+        if c == 0.0:
+            state._release_row(row)
+        i, j = ends[a]
+        multiply(seats_h, beta_h[i], out=w)
+        multiply(w, beta_h[j], out=w)
+        accumulate(w, out=w)
+        total = w.item(-1) + new_w
+        if 0.0 < total < math.inf:
+            # a free row adds 0 to the running sum, so the first position
+            # whose sum exceeds the draw is always a live row
+            row = int(w.searchsorted(random() * total, side="right"))
+        else:
+            row = high
+        if row >= high:
+            # through the instance, so that a wrapper on the class sees it
+            row = state._row_of[state._create_community()]
+            if state._high != high:
+                # a new row, and perhaps new arrays after _grow
+                seats, high = state._seats, state._high
+                counts.extend([0.0] * (len(seats) - len(counts)))
+                seats_h, beta_h = seats[:high], list(state._beta[:, :high])
+                w = np.empty(high)
+        assign[a] = row
+        c = counts[row] + 1.0
+        counts[row] = seats[row] = c
+    state._assign_row = np.array(assign, dtype=np.int64)
     state.resample_beta()
     return state
 

@@ -1,22 +1,25 @@
 """Per-edge reference kernels of the seating rule, used only by the tests.
 
-The sampler computes the seating weights of every live community at once
-in ``SamplerState``.  These are the same formulas written out one edge and
-one community at a time, keyed by community id, so a test can check the
-engine against a form that shares none of its code:
+The sampler's ``gibbs_sweep`` weighs every community at once, for one edge
+after another, in a single loop.  These are the same formulas written out
+one edge and one community at a time, keyed by community id, so a test can
+check the engine against a form that shares none of its code:
 
     weight of community r = (n_r + n_r^prev) * beta_ir * beta_jr
     weight of a new one   = alpha * gamma_i * gamma_j / (gamma_0 * (gamma_0 + 1))
 
-Three functions act on a ``SamplerState`` itself: they take one edge out
-of its community and read the weights the engine would draw it with, which
-only the tests need.  The last two are the edge-list invariants written out
-edge by edge: ``edge_key`` gives an edge's canonical form, and ``validate``
+The functions from ``edge_index`` to ``edge_weights`` act on a
+``SamplerState`` itself, one edge at a time: they take an edge out of its row, weigh the rows for it,
+draw its community and seat it again, with the seating rule that
+``gibbs_sweep`` fuses into one loop over the edges.  Only the tests need
+them.  The last two are the edge-list invariants written out edge by
+edge: ``edge_key`` gives an edge's canonical form, and ``validate``
 lists every way a ``SnapshotGraph`` breaks the invariants that
 ``load_dynamic`` and the generator must keep.
 """
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 import numpy as np
@@ -91,9 +94,51 @@ def edge_index(state, e) -> int:
     return state.graph.edges.index(e)
 
 
+def remove_idx(state, a: int) -> None:
+    """Take edge index ``a`` out of its row; a row whose seat count reaches 0
+    is released."""
+    row = int(state._assign_row[a])
+    if row < 0:
+        raise ValueError("edge %r is not currently assigned" % (state.graph.edges[a],))
+    state._assign_row[a] = -1
+    state._seats[row] -= 1.0
+    if state._seats[row] == 0.0:
+        state._release_row(row)
+
+
+def add_idx(state, a: int, cid: int) -> None:
+    """Seat edge index ``a`` in the live community ``cid``."""
+    row = state._row_of[cid]
+    state._assign_row[a] = row
+    state._seats[row] += 1.0
+
+
+def seat_weights(state, a: int) -> np.ndarray:
+    """The seating weight of every row below the high-water mark for removed
+    edge index ``a``: (current + carried size) times the edge likelihood.  A
+    free row has seat count 0, so it weighs 0."""
+    high = state._high
+    i, j = state._ends[a]
+    return state._seats[:high] * state._beta[i, :high] * state._beta[j, :high]
+
+
+def draw_for_edge(state, a: int) -> int:
+    """Draw a community id for removed edge index ``a`` the way
+    ``gibbs_sweep`` does; choosing a brand-new community opens one, with a
+    fresh id and a prior beta draw."""
+    w = np.cumsum(seat_weights(state, a))
+    total = float(w[-1]) + state._new_w
+    if not 0.0 < total < math.inf:
+        return state._create_community()
+    row = int(w.searchsorted(state.rng.random() * total, side="right"))
+    if row >= len(w):
+        return state._create_community()
+    return int(state._ids[row])
+
+
 def remove_edge(state, e) -> None:
     """Take edge e out of its community in a ``SamplerState`` (leave-one-out form)."""
-    state._remove_idx(edge_index(state, e))
+    remove_idx(state, edge_index(state, e))
 
 
 def edge_weights(state, e) -> tuple[dict[int, float], float]:
@@ -104,7 +149,7 @@ def edge_weights(state, e) -> tuple[dict[int, float], float]:
     if state._assign_row[a] >= 0:
         raise ValueError("edge %r must be removed before weighing" % (e,))
     rows = state._live_rows()
-    w = state._seat_weights(a)
+    w = seat_weights(state, a)
     return dict(zip(state._ids[rows].tolist(), w[rows].tolist())), state._new_w
 
 

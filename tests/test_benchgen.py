@@ -16,6 +16,7 @@ from dyncomm.benchgen import (
     plant_memberships,
     preset,
 )
+from dyncomm.membership import Cover
 from reference import validate
 
 
@@ -167,6 +168,37 @@ def test_snapshot_rejects_impossible_community_budget():
     truth = plant_memberships(cfg, rng)
     with pytest.raises(GenError):
         generate_snapshot(truth.covers[0], cfg, rng)
+
+
+def test_short_community_passes_its_edges_to_the_background():
+    # communities 0 and 1 share all 15 pairs of nodes 0-5 and are granted 10
+    # edges each, so community 1 runs out of pairs 5 edges short and the
+    # background, budgeted 0 at mixing 0, places those 5 instead
+    cover = Cover({0: set(range(6)), 1: set(range(6)), 2: set(range(6, 30))})
+    cfg = GenConfig(n=30, k=3, mixing=0.0, avg_degree=4, seed=0)
+    g = generate_snapshot(cover, cfg, np.random.default_rng(0))
+    assert validate(g) == []
+    assert g.m == 60
+    assert {(i, j) for i in range(6) for j in range(i + 1, 6)} <= set(g.edges)
+
+
+def test_snapshot_raises_when_the_background_cannot_take_the_shortfall():
+    cover = Cover({0: set(range(30))})
+    cfg = GenConfig(n=30, k=1, mixing=0.0, avg_degree=4, max_degree=1, seed=0)
+    with pytest.raises(GenError, match="degree target infeasible"):
+        generate_snapshot(cover, cfg, np.random.default_rng(0))
+
+
+# birthdeath-t2 seeds whose born communities ran out of rejection attempts
+# before their last edges were placed exactly
+@pytest.mark.parametrize("seed", [12, 40, 43, 53, 70, 74, 79, 82])
+def test_t2_preset_generates_when_rejection_runs_out(seed):
+    cfg, sched = preset("birthdeath-t2", seed=seed)
+    net, _ = generate_dynamic(cfg, sched)
+    for g in net:
+        assert g.m == 7500
+        assert validate(g) == []
+        assert int(g.degree_array.max()) <= 50
 
 
 def test_snapshot_requires_full_cover():

@@ -90,6 +90,12 @@ def test_generate_preset_shape(tmp_path, capsys):
     assert abs(mean_deg - 30) / 30 < 0.1
     meta = (out / "run_meta.txt").read_text()
     assert "preset=birthdeath-t2\n" in meta
+    # this seed never needs the generator's exact placement, so its bytes
+    # are those of the rejection sampler alone
+    pinned = {"network.txt": "fdbf670a2c62fec110e7cb04c9d94819fda9a102966cf46fd85ae6937e50b1f3",
+              "truth.txt": "cd0cc9ea806d410dd37bfe3d3d7479c6f1dab7a809c08f3be4f496df8290ada4"}
+    for name, digest in pinned.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_generate_config_overrides_preset(tmp_path):

@@ -22,8 +22,8 @@ from dyncomm.sampler import (
     init_assignments_first,
     run_snapshot,
 )
-from reference import (crp_weights, edge_index, edge_likelihood, edge_weights,
-                       new_group_weight, rcrp_weights, remove_edge)
+from reference import (add_idx, crp_weights, draw_for_edge, edge_index, edge_likelihood,
+                       edge_weights, new_group_weight, rcrp_weights, remove_edge, remove_idx)
 
 
 def random_graph(rng, n, tries):
@@ -198,7 +198,7 @@ def test_static_draw_frequencies_match_weights():
     a = edge_index(state, (0, 1))
     hits = Counter()
     for _ in range(30_000):
-        cid = state.draw_for_edge(a)
+        cid = draw_for_edge(state, a)
         hits[cid] += 1
         if cid not in (100, 200):
             state._release_row(state._row_of[cid])  # keep the fixture fixed
@@ -233,7 +233,7 @@ def test_new_community_id_is_fresh():
     remove_edge(state, (0, 1))
     a = edge_index(state, (0, 1))
     for _ in range(200):
-        cid = state.draw_for_edge(a)
+        cid = draw_for_edge(state, a)
         if cid not in (0, 1, 2):
             assert cid >= 3
             return
@@ -280,7 +280,7 @@ def test_leave_one_out_restores_stats():
     g, state, h = make_static_state()
     before = state._seats.copy(), state._node_counts()
     remove_edge(state, (0, 1))
-    state._add_idx(edge_index(state, (0, 1)), 200)
+    add_idx(state, edge_index(state, (0, 1)), 200)
     assert np.array_equal(state._seats, before[0])
     assert np.array_equal(state._node_counts(), before[1])
     state.check_consistency()
@@ -294,7 +294,7 @@ def test_leave_one_out_restores_stats_after_row_retirement():
     remove_edge(state, (2, 3))  # community 1 dies with its only edge
     assert 1 not in state._row_of
     state._beta[:, state._acquire_row(1)] = state._prior_beta()
-    state._add_idx(edge_index(state, (2, 3)), 1)
+    add_idx(state, edge_index(state, (2, 3)), 1)
     state.check_consistency()
     after = CommunityStats.from_assignment(state.G)
     assert before.n == after.n
@@ -308,6 +308,8 @@ def test_G_refuses_an_unseated_edge():
     remove_edge(state, (0, 1))
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         state.G
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        gibbs_sweep(state)
     for _ in range(state._cap):  # every row live, the last one included
         state._create_community()
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
@@ -412,30 +414,32 @@ def reference_sweep(state):
     """One sweep with the seating weights gathered afresh for every edge:
     live rows from ``np.nonzero``, sizes from ``np.bincount`` of the seated
     edges rather than the state's running seat counts, fancy-indexed
-    ``(n + prev) * beta_i * beta_j``, ``w.sum()`` and ``np.cumsum``.  It
-    moves edges and opens tables through the state's own methods and draws
-    from its rng in the order ``gibbs_sweep`` does, so the two must agree
-    bit for bit."""
+    ``(n + prev) * beta_i * beta_j`` and ``np.cumsum``, whose last entry
+    plus the new-table weight is the total.  It moves edges with the
+    per-edge functions of ``reference``, opens tables through the state's
+    own method and draws from its rng in the order ``gibbs_sweep`` does, so
+    the two must agree bit for bit."""
     ends = state.graph.edge_array
     for a in state.rng.permutation(state.m):
         a = int(a)
-        state._remove_idx(a)
+        remove_idx(state, a)
         i, j = ends[a]
         rows = np.nonzero(state._ids[:state._high] >= 0)[0]
         seated = state._assign_row[state._assign_row >= 0]
         n = np.bincount(seated, minlength=state._high)
         w = (n[rows] + state._prev[rows]) * state._beta[i, rows] * state._beta[j, rows]
-        total = float(w.sum()) + state._new_w
+        cum = np.cumsum(w)
+        total = (float(cum[-1]) if len(cum) else 0.0) + state._new_w
         if not np.isfinite(total) or total <= 0.0:
             cid = state._create_community()
         else:
             u = state.rng.random() * total
-            pos = int(np.searchsorted(np.cumsum(w), u, side="right"))
+            pos = int(np.searchsorted(cum, u, side="right"))
             if pos >= len(rows):
                 cid = state._create_community()
             else:
                 cid = int(state._ids[rows[pos]])
-        state._add_idx(a, cid)
+        add_idx(state, a, cid)
     state.resample_beta()
 
 
@@ -458,6 +462,7 @@ def run_twins(fast, slow, sweeps):
         assert np.array_equal(fast._ids, slow._ids)
         assert np.array_equal(fast._beta, slow._beta)
         assert fast.alloc.high_water == slow.alloc.high_water
+        assert fast._assign_row.dtype == slow._assign_row.dtype == np.int64
         fast.check_consistency()
         slow.check_consistency()
         released += len(before - set(fast._row_of))
@@ -497,6 +502,40 @@ def test_seating_view_twins_open_release_and_grow(prev_counts):
     fast, slow = twin_states(g, labels, prev_counts, HyperParams(alpha=50.0), seed=8)
     opened, released, grew = run_twins(fast, slow, sweeps=8)
     assert opened > 0 and released > 0 and grew
+
+
+def test_seating_view_twins_grow_in_mid_sweep():
+    # alpha = 50 on one starting community of cap 8: every sweep opens
+    # tables, and one sweep both releases rows and outgrows the first cap
+    # with edges still to seat, so it must read the regrown arrays from then
+    # on
+    rng = np.random.default_rng(3)
+    g = random_graph(rng, 12, 40)
+    fast, slow = twin_states(g, np.zeros(g.m, dtype=np.int64), None,
+                             HyperParams(alpha=50.0), seed=1)
+    events: list[str] = []
+    create, release = fast._create_community, fast._release_row
+
+    def logged_create():
+        cap = fast._cap
+        cid = create()
+        events.append("grow" if fast._cap > cap else "open")
+        return cid
+
+    def logged_release(row):
+        release(row)
+        events.append("release")
+
+    fast._create_community, fast._release_row = logged_create, logged_release
+    per_sweep = []
+    for _ in range(4):
+        events.clear()
+        run_twins(fast, slow, sweeps=1)
+        per_sweep.append(list(events))
+    assert all("open" in ev for ev in per_sweep)
+    grew = [ev for ev in per_sweep if "grow" in ev]
+    assert len(grew) == 1 and "release" in grew[0]
+    assert "open" in grew[0][grew[0].index("grow") + 1:]
 
 
 # ---------------------------------------------------------------- snapshots
