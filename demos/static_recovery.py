@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dyncomm import GenConfig, HyperParams, generate_dynamic, overlapping_nmi
 from dyncomm.membership import select_best
-from dyncomm.sampler import run_snapshot
+from dyncomm.sampler import sweep_records
 
 
 def main():
@@ -25,7 +25,7 @@ def main():
     hyper = HyperParams()
     records = []
     for chain in range(2):
-        records.extend(run_snapshot(g, None, hyper, seed=[cfg.seed, chain]))
+        records.extend(sweep_records(g, None, hyper, seed=[cfg.seed, chain]))
     print("collected %d retained sweeps across 2 chains" % len(records))
 
     cover, record = select_best([(rec, rec.cover) for rec in records])

@@ -23,7 +23,7 @@ from .model import (CommunityStats, HyperParams, collapsed_partition_score,
                     crp_log_prob)
 from .sampler import (PrevSummary, SampleRecord, SamplerState, SnapshotResult,
                       detect_dynamic, gibbs_sweep, init_assignments_carry,
-                      init_assignments_first, run_snapshot)
+                      init_assignments_first, run_snapshot, sweep_records)
 
 __all__ = [
     "__version__",
@@ -39,5 +39,5 @@ __all__ = [
     "crp_log_prob",
     "PrevSummary", "SampleRecord", "SamplerState", "SnapshotResult",
     "detect_dynamic", "gibbs_sweep", "init_assignments_carry",
-    "init_assignments_first", "run_snapshot",
+    "init_assignments_first", "run_snapshot", "sweep_records",
 ]

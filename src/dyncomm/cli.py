@@ -238,7 +238,7 @@ def _nmi_universe(g, truth_cover) -> set[int]:
     """Nodes the NMI is taken over: the snapshot's nodes plus every node the
     truth cover names, since a truth cover may still name a node that has
     left the network."""
-    return set(g.nodes) | truth_cover.covered_nodes()
+    return set(g.nodes.tolist()) | truth_cover.covered_nodes()
 
 
 def _evaluate_one(covers, truth, snaps) -> list[MetricRow]:

@@ -15,6 +15,12 @@ positive and are kept as written; node-declaration lines exist to encode
 isolated nodes, which are retained and simply receive empty community
 membership downstream.  Duplicate edges collapse to one; self-loops,
 weights and directions are rejected.
+
+A snapshot is held as arrays: its sorted node ids, and each edge as the
+positions of its two endpoints among them.  ``load_dynamic`` parses the
+file with array operations, a piece of lines at a time, and builds each
+snapshot from id arrays, so no Python object is made per edge and the
+parse needs a few times the file's size in memory.
 """
 from __future__ import annotations
 
@@ -32,15 +38,28 @@ class GraphFormatError(ValueError):
 class SnapshotGraph:
     """One snapshot: a simple undirected graph with stable integer node ids.
 
-    Instances are treated as immutable after construction; the derived
-    structures (index, edge and degree arrays) are cached and safe to share
-    across concurrent sampler chains.
+    The constructor takes iterables of node ids and endpoint pairs, or
+    integer arrays of them, and builds every array the sampler and the
+    metrics read: ``nodes`` (the sorted distinct ids), ``edge_array`` (each
+    edge's two positions in ``nodes``, in the given edge order) and
+    ``degree_array``.  They are read-only and nothing writes to the
+    instance afterwards, so one snapshot is safe to share across
+    concurrent sampler chains.  ``edges``, ``node_index``, ``edge_set``
+    and ``degrees`` are tuple, dict and set views built on first use, for
+    callers that want Python objects; detection reads none of them.
     """
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]], t: int = 1):
         self.t = int(t)
-        self.nodes: tuple[int, ...] = tuple(sorted({int(x) for x in nodes}))
-        self.edges: tuple[tuple[int, int], ...] = tuple((int(u), int(v)) for u, v in edges)
+        self.nodes: np.ndarray = _frozen(np.unique(_int_array(nodes)))
+        ends = _int_array(edges).reshape(-1, 2)
+        idx = np.searchsorted(self.nodes, ends)
+        if len(ends) and (not self.n or np.any(self.nodes.take(idx, mode="clip") != ends)):
+            raise GraphFormatError("SnapshotGraph(t=%d, n=%d, m=%d) has an edge endpoint "
+                                   "outside its nodes" % (self.t, self.n, len(ends)))
+        self.edge_array: np.ndarray = _frozen(idx)
+        self.degree_array: np.ndarray = _frozen(
+            np.bincount(idx.ravel(), minlength=self.n).astype(np.float64))
 
     @property
     def n(self) -> int:
@@ -48,31 +67,21 @@ class SnapshotGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Endpoint id pairs, in ``edge_array`` order."""
+        return tuple(map(tuple, self.nodes[self.edge_array].tolist()))
 
     @cached_property
     def node_index(self) -> dict[int, int]:
         """Node id -> compact index in ``self.nodes`` order."""
-        return {v: i for i, v in enumerate(self.nodes)}
-
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """(m, 2) int array of compact endpoint indices, in ``self.edges`` order."""
-        nodes = np.array(self.nodes, dtype=np.int64)
-        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        idx = np.searchsorted(nodes, ends)
-        if self.m and (not self.n or np.any(nodes.take(idx, mode="clip") != ends)):
-            raise GraphFormatError("%r has an edge endpoint outside its nodes" % self)
-        return idx
-
-    @cached_property
-    def degree_array(self) -> np.ndarray:
-        """Degree of every node, in ``self.nodes`` order."""
-        return np.bincount(self.edge_array.ravel(), minlength=self.n).astype(np.float64)
+        return dict(zip(self.nodes.tolist(), range(self.n)))
 
     @cached_property
     def degrees(self) -> dict[int, int]:
-        return dict(zip(self.nodes, map(int, self.degree_array)))
+        return dict(zip(self.nodes.tolist(), self.degree_array.astype(np.int64).tolist()))
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
@@ -80,6 +89,17 @@ class SnapshotGraph:
 
     def __repr__(self) -> str:
         return "SnapshotGraph(t=%d, n=%d, m=%d)" % (self.t, self.n, self.m)
+
+
+def _int_array(values) -> np.ndarray:
+    """An int64 array of an array or any iterable of ints or int pairs."""
+    return np.asarray(values if isinstance(values, np.ndarray) else list(values),
+                      dtype=np.int64)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class DynamicNetwork:
@@ -112,6 +132,9 @@ _SPACE[list(b" \t\n\r\v\f")] = True
 _COMMENT = re.compile(rb"#[^\n]*")
 # every id of 18 digits or fewer fits in an int64
 _MAX_DIGITS = 18
+# the parse reads the file in pieces of about this many bytes, cut at line
+# ends, so its per-token arrays stay small whatever the file's size
+_PIECE = 1 << 16
 
 
 def _tokens(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -142,28 +165,13 @@ def _integers(raw: np.ndarray, starts: np.ndarray,
     return value, ok
 
 
-def _unique_rows(*cols: np.ndarray) -> list[np.ndarray]:
-    """The distinct rows of the given columns, sorted by the first column,
-    then the second, and so on."""
-    order = np.lexsort(cols[::-1])
-    cols = [c[order] for c in cols]
-    keep = np.ones(len(order), dtype=bool)
-    keep[1:] = np.any([c[1:] != c[:-1] for c in cols], axis=0)
-    return [c[keep] for c in cols]
-
-
-def load_dynamic(path) -> DynamicNetwork:
-    """Load and validate a dynamic network from a snapshot edge-list file.
-
-    Duplicate edges within a snapshot collapse to one; edges are stored in
-    canonical sorted order.  Raises GraphFormatError, reporting the line
-    number, on malformed lines, self-loops or negative ids.  Ids have at
-    most 18 digits.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    data = _COMMENT.sub(b"", text.encode("utf-8"))
-    raw = np.frombuffer(data, dtype=np.uint8)
+def _parse_piece(piece: bytes, line0: int) -> tuple[np.ndarray, ...]:
+    """The rows of ``piece``, whole lines of which the first is line
+    ``line0 + 1`` of the file: (t, lower id, higher id) of the edge lines
+    and (t, id) of the node lines.  Raises GraphFormatError for the first
+    bad line."""
+    text = _COMMENT.sub(b"", piece) if b"#" in piece else piece
+    raw = np.frombuffer(text, dtype=np.uint8)
     starts, ends, line = _tokens(raw)
 
     # rows are the lines of exactly three tokens before the first line of
@@ -192,11 +200,11 @@ def load_dynamic(path) -> DynamicNetwork:
     failed = np.any([flags for _, _, flags in checks], axis=0)
     if failed.any():
         row = int(np.argmax(failed))
-        lineno = int(line[3 * row]) + 1
+        lineno = line0 + int(line[3 * row]) + 1
         kind, col = next((kind, col) for kind, col, flags in checks if flags[row])
         tok = 3 * row + col
         if kind == "int":
-            word = data[starts[tok]:ends[tok]].decode("utf-8")
+            word = text[starts[tok]:ends[tok]].decode("utf-8")
             digits = word[1:] if word[0] in "+-" else word
             problem = ("id out of range" if digits.isascii() and digits.isdigit()
                        else "not an integer")
@@ -207,33 +215,90 @@ def load_dynamic(path) -> DynamicNetwork:
             raise GraphFormatError("line %d: snapshot index must be >= 1" % lineno)
         raise GraphFormatError("line %d: self-loop at line %d" % (lineno, lineno))
     if len(malformed):
-        lineno = int(malformed[0]) + 1
+        bad = piece.split(b"\n")[malformed[0]].decode("utf-8")
         raise GraphFormatError("line %d: expected 't u v' or 't n id', got %r"
-                               % (lineno, text.split("\n")[lineno - 1]))
-    if not len(t):
-        raise GraphFormatError("no snapshots")
-
+                               % (line0 + int(malformed[0]) + 1, bad))
     edge = ~node
-    et, lo, hi = _unique_rows(t[edge], np.minimum(u, v)[edge], np.maximum(u, v)[edge])
-    nt, ids = _unique_rows(np.concatenate([t[node], et, et]),
-                           np.concatenate([v[node], lo, hi]))
-    ts = np.unique(t)
+    return (t[edge], np.minimum(u, v)[edge], np.maximum(u, v)[edge],
+            t[node], v[node])
+
+
+def _sort_unique(cols: list[np.ndarray]) -> None:
+    """Sort the rows of the columns ``cols`` by the first column, then the
+    second, and so on, and drop repeated rows; the list is updated in place
+    so that no unsorted column outlives its sorted copy."""
+    order = np.lexsort(cols[::-1])
+    for k, c in enumerate(cols):
+        cols[k] = c[order]
+    del c, order  # the last unsorted column, and the permutation
+    keep = np.ones(len(cols[0]), dtype=bool)
+    keep[1:] = np.any([c[1:] != c[:-1] for c in cols], axis=0)
+    for k, c in enumerate(cols):
+        cols[k] = c[keep]
+
+
+def load_dynamic(path) -> DynamicNetwork:
+    """Load and validate a dynamic network from a snapshot edge-list file.
+
+    Duplicate edges within a snapshot collapse to one; edges are stored in
+    canonical sorted order.  Raises GraphFormatError, reporting the line
+    number, on malformed lines, self-loops or negative ids.  Ids have at
+    most 18 digits.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        data.decode("utf-8")  # a file that is not UTF-8 fails as it would as text
+    if b"\r" in data:
+        # the line ends of text mode: a CRLF or a lone CR ends a line
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    pieces = []
+    start = line0 = 0
+    while start < len(data):
+        stop = len(data)
+        if start + _PIECE < stop:
+            stop = data.rfind(b"\n", start, start + _PIECE) + 1
+            if stop <= start:  # one line longer than a piece
+                stop = data.find(b"\n", start + _PIECE) + 1 or len(data)
+        piece = data[start:stop]
+        pieces.append(_parse_piece(piece, line0))
+        line0 += piece.count(b"\n")
+        start = stop
+    del data
+    # edge rows (t, lower id, higher id), then node rows (t, id); the
+    # pieces and the first list go, so that sorting frees each column
+    cols = [np.concatenate(c) for c in zip(*pieces)] or [np.empty(0, dtype=np.int64)] * 5
+    del pieces
+    edges, decls = cols[:3], cols[3:]
+    del cols
+    if not len(edges[0]) and not len(decls[0]):
+        raise GraphFormatError("no snapshots")
+    _sort_unique(edges)
+    _sort_unique(decls)
+    et, lo, hi = edges
+    nt, ids = decls
+    ts = np.union1d(et, nt)
     e_at = np.searchsorted(et, ts).tolist() + [len(et)]
     n_at = np.searchsorted(nt, ts).tolist() + [len(nt)]
-    lo, hi, ids = lo.tolist(), hi.tolist(), ids.tolist()
-    return DynamicNetwork(
-        SnapshotGraph(ids[n_at[k]:n_at[k + 1]],
-                      zip(lo[e_at[k]:e_at[k + 1]], hi[e_at[k]:e_at[k + 1]]), t=snap)
-        for k, snap in enumerate(ts.tolist()))
+    snapshots = []
+    for k, snap in enumerate(ts.tolist()):
+        a, b = e_at[k], e_at[k + 1]
+        ends = np.column_stack((lo[a:b], hi[a:b]))
+        nodes = np.concatenate((ids[n_at[k]:n_at[k + 1]], lo[a:b], hi[a:b]))
+        snapshots.append(SnapshotGraph(nodes, ends, t=snap))
+    return DynamicNetwork(snapshots)
 
 
 def save_dynamic(net: DynamicNetwork, path) -> None:
-    """Write a dynamic network in canonical form (round-trips with load)."""
+    """Write a dynamic network in canonical form (round-trips with load):
+    each snapshot's isolated nodes, then its distinct edges in sorted
+    order."""
     with open(path, "w", encoding="utf-8") as fh:
         for g in net:
-            touched = {x for e in g.edges for x in e}
-            for v in g.nodes:
-                if v not in touched:
-                    fh.write("%d n %d\n" % (g.t, v))
-            for u, v in sorted(g.edge_set):
-                fh.write("%d %d %d\n" % (g.t, u, v))
+            t = g.t
+            fh.writelines(["%d n %d\n" % (t, v)
+                           for v in g.nodes[g.degree_array == 0].tolist()])
+            pairs = list(g.nodes[g.edge_array].T)
+            _sort_unique(pairs)
+            fh.writelines(["%d %d %d\n" % (t, u, v)
+                           for u, v in zip(pairs[0].tolist(), pairs[1].tolist())])

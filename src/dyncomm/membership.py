@@ -90,12 +90,18 @@ def extract_cover(u: SoftMembership, theta: float) -> Cover:
     return cover
 
 
+def selection_key(record) -> tuple[float, int]:
+    """What the best sample maximizes: its modularity, and then its sweep
+    index, so that a tie goes to the latest sweep."""
+    return (record.modularity, record.sweep_index)
+
+
 def select_best(samples: Sequence[tuple]) -> tuple[Cover, object]:
     """Pick the (record, cover) pair with maximal modularity; ties go to the
     latest sweep."""
     if not samples:
         raise ValueError("no samples to select from")
-    best = max(samples, key=lambda pair: (pair[0].modularity, pair[0].sweep_index))
+    best = max(samples, key=lambda pair: selection_key(pair[0]))
     return best[1], best[0]
 
 

@@ -7,7 +7,7 @@ nonempty community, in id order).  Extended modularity is Shen's form
 
 where O_i, the column sums of X, counts the communities holding node i.
 With W = X / O, community c adds sum_{(i,j) in E} 2 W_ci W_cj - (W_c . k)^2 / 2M,
-its first part from one gather of W's columns by the edge list;
+its first part summed over only the edges with both ends in c;
 ``math.fsum`` rounds the sum once, so EQ depends on the set of communities,
 not their order.  On a partition it is Newman modularity.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -28,16 +28,19 @@ from .graphs import SnapshotGraph
 from .membership import Cover
 
 
-def _cover_matrix(cover: Cover, index: Mapping[int, int], where: str) -> np.ndarray:
-    """K x N 0/1 float matrix over ``index``'s columns, one row per nonempty
-    community in sorted id order; a node missing from ``index`` raises."""
+def _cover_matrix(cover: Cover, nodes: np.ndarray, where: str) -> np.ndarray:
+    """K x N 0/1 float matrix over the sorted ids ``nodes``, one row per
+    nonempty community in sorted id order; a node not in ``nodes`` raises."""
     rows = [members for _, members in sorted(cover.communities.items()) if members]
-    x = np.zeros((len(rows), len(index)))
+    x = np.zeros((len(rows), len(nodes)))
     for a, members in enumerate(rows):
-        missing = members - index.keys()
-        if missing:
-            raise ValueError("cover node %r is %s" % (min(missing), where))
-        x[a, [index[i] for i in members]] = 1.0
+        ids = np.fromiter(members, dtype=np.int64, count=len(members))
+        col = np.searchsorted(nodes, ids)
+        found = col < len(nodes)
+        found[found] = nodes[col[found]] == ids[found]
+        if not found.all():
+            raise ValueError("cover node %r is %s" % (min(ids[~found].tolist()), where))
+        x[a, col] = 1.0
     return x
 
 
@@ -45,15 +48,36 @@ def extended_modularity(cover: Cover, g: SnapshotGraph) -> float:
     """Overlapping modularity of a cover on one snapshot; 0 when M = 0."""
     if g.m == 0:
         return 0.0
-    x = _cover_matrix(cover, g.node_index, "not in the snapshot")
+    x = _cover_matrix(cover, g.nodes, "not in the snapshot")
     o = x.sum(axis=0)
     w = np.divide(x, o, out=np.zeros_like(x), where=o > 0)
-    ends = g.edge_array
     two_m = 2.0 * g.m
-    # 2 W_ci W_cj summed over the edges (i, j), every community c at once
-    inside = 2.0 * np.einsum("ek,ek->k", w.T[ends[:, 0]], w.T[ends[:, 1]])
+    # 2 W_ci W_cj summed over the edges (i, j) inside each community c
+    c, i, j = _inside_pairs(x, g.edge_array)
+    inside = 2.0 * np.bincount(c, weights=w[c, i] * w[c, j], minlength=len(x))
     terms = inside - (w * g.degree_array).sum(axis=1) ** 2 / two_m
     return math.fsum(terms) / two_m
+
+
+def _inside_pairs(x: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every (community c, edge (i, j)) with both ends in c, as the columns
+    c, i, j, in edge order and then community order.
+
+    ``bincount`` adds each community's products in that order, which is
+    the order of a sum over all the edges, so skipping the pairs whose
+    product is 0 leaves every bit of the sum as it was, while the work is
+    O(M x memberships) rather than O(M x K)."""
+    node, comm = np.nonzero(x.T)  # memberships, by node and then community
+    per_node = np.bincount(node, minlength=x.shape[1])
+    i, j = ends[:, 0], ends[:, 1]
+    reps = per_node[i]
+    # the memberships of i, for each edge in turn: edge e's block of the
+    # output starts at its offset and reads i's run of ``comm`` from its start
+    shift = (np.cumsum(per_node) - per_node)[i] - (np.cumsum(reps) - reps)
+    c = comm[np.arange(reps.sum()) + np.repeat(shift, reps)]
+    i, j = np.repeat(i, reps), np.repeat(j, reps)
+    both = x[c, j] > 0
+    return c[both], i[both], j[both]
 
 
 def _h(p: np.ndarray) -> np.ndarray:
@@ -84,7 +108,7 @@ def overlapping_nmi(x: Cover, y: Cover, universe: Iterable[int]) -> float:
     with the min-entropy constraint guarding each matched pair.  An empty
     cover scores 0 against a nonempty one and 1 against another empty one.
     """
-    index = {v: b for b, v in enumerate(sorted(set(universe)))}
+    index = np.array(sorted(set(universe)), dtype=np.int64)
     mx, my = (_cover_matrix(c, index, "outside the universe") for c in (x, y))
     if len(mx) == 0 or len(my) == 0:
         return 1.0 if len(mx) == len(my) else 0.0

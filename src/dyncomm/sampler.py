@@ -25,6 +25,14 @@ array the weights read.  The per-node endpoint counts and the current
 sizes are recounted from the seating with ``np.bincount`` where they are
 read: the maximum-likelihood start, and the beta redraw once per sweep.
 
+A chain scores each sweep as it ends (``sweep_records``) and keeps only
+the best record so far (``run_snapshot``), so it holds one state and at
+most two records whatever the sweep count.  Seatings are int arrays of
+community ids in ``edge_array`` order from the first draw to the record.
+The winner passes on its endpoint id pairs and their labels, and the
+next snapshot's surviving edges find their labels by one sort of the
+old and new pairs together.
+
 ``detect_dynamic`` fits each snapshot with independent chains and runs
 them in parallel, up to the CPUs this process may use: the calling
 process fits a share of the chains itself and worker processes fit the
@@ -34,17 +42,18 @@ CPUs.
 """
 from __future__ import annotations
 
-import copy
 import math
 import os
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from functools import partial
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .graphs import DynamicNetwork, SnapshotGraph
-from .membership import Cover, extract_cover, select_best, soft_membership_from_arrays
+from .membership import (Cover, extract_cover, select_best, selection_key,
+                         soft_membership_from_arrays)
 from .metrics import extended_modularity
 from .model import EdgeKey, HyperParams
 
@@ -71,10 +80,11 @@ class CommunityIdAllocator:
 
 @dataclass
 class SampleRecord:
-    """One retained sweep: assignment, live betas, and the extracted cover."""
+    """One retained sweep: every edge's community id (``assign_ids``, in
+    the snapshot's ``edge_array`` order), the ids, sizes and betas of the
+    communities that hold edges, and the extracted cover."""
 
     sweep_index: int
-    edge_keys: tuple[EdgeKey, ...]
     assign_ids: np.ndarray
     ids: tuple[int, ...]
     sizes: np.ndarray
@@ -82,26 +92,27 @@ class SampleRecord:
     cover: Cover
     modularity: float
 
-    @property
-    def assignment(self) -> dict[EdgeKey, int]:
-        return {e: int(r) for e, r in zip(self.edge_keys, self.assign_ids)}
-
 
 @dataclass
 class PrevSummary:
-    """What one snapshot passes to the next: the selected assignment and the
-    community sizes it induces.  Beta vectors are not carried; each snapshot
-    redraws them."""
+    """What one snapshot passes to the next: the selected seating and the
+    community sizes it induces.  ``ends`` is an (m, 2) array of each edge's
+    endpoint ids and ``labels`` each edge's community id; ``counts`` maps
+    each community id to its size, in the order the ids first appear in
+    ``labels``.  Beta vectors are not carried; each snapshot redraws them."""
 
-    assignment: dict[EdgeKey, int] = field(default_factory=dict)
-    counts: dict[int, int] = field(default_factory=dict)
+    ends: np.ndarray
+    labels: np.ndarray
+    counts: dict[int, int]
 
     @classmethod
-    def from_record(cls, record: SampleRecord) -> "PrevSummary":
-        counts: dict[int, int] = {}
-        for r in record.assign_ids:
-            counts[int(r)] = counts.get(int(r), 0) + 1
-        return cls(record.assignment, counts)
+    def from_record(cls, record: SampleRecord, graph: SnapshotGraph) -> "PrevSummary":
+        """The summary of ``record``, a sweep of ``graph``."""
+        labels = record.assign_ids
+        ids, first, sizes = np.unique(labels, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return cls(graph.nodes[graph.edge_array], labels,
+                   dict(zip(ids[order].tolist(), sizes[order].tolist())))
 
 
 class SamplerState:
@@ -117,7 +128,8 @@ class SamplerState:
         The chain's random stream; every move draws from it.
     """
 
-    def __init__(self, graph: SnapshotGraph, assignment: Mapping[EdgeKey, int],
+    def __init__(self, graph: SnapshotGraph,
+                 assignment: Sequence[int] | Mapping[EdgeKey, int],
                  prev_counts: Mapping[int, int] | None, hyper: HyperParams,
                  rng: np.random.Generator, alloc: CommunityIdAllocator | None = None):
         self.graph = graph
@@ -127,14 +139,22 @@ class SamplerState:
         self.n_nodes = graph.n
         self.m = graph.m
         self._ends = graph.edge_array.tolist()
+        self._node_ids = tuple(graph.nodes.tolist())
         self._prior_shape = np.full(self.n_nodes, hyper.gamma)
         # a brand-new community weighs alpha * gamma^2 / (gamma0 * (gamma0 + 1)),
         # the closed form of the Dirichlet-marginal edge probability
         g0 = self.n_nodes * hyper.gamma
         self._new_w = hyper.alpha * hyper.gamma * hyper.gamma / (g0 * (g0 + 1.0))
 
-        labels = [int(assignment[e]) for e in graph.edges]
-        cap = max(8, 2 * (len(set(labels)) + len(prev_counts or {})))
+        # one community id per edge, in edge_array order, or a mapping from
+        # each edge's endpoint ids to its community id
+        if isinstance(assignment, Mapping):
+            assignment = [assignment[e] for e in graph.edges]
+        labels = np.asarray(assignment, dtype=np.int64)
+        if labels.shape != (self.m,):
+            raise ValueError("%d community ids for %d edges" % (labels.size, self.m))
+        ids, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        cap = max(8, 2 * (len(ids) + len(prev_counts or {})))
         self._cap = cap
         self._ids = np.full(cap, -1, dtype=np.int64)
         self._prev = np.zeros(cap, dtype=np.int64)
@@ -148,10 +168,11 @@ class SamplerState:
         self._carried = {int(r): int(c) for r, c in (prev_counts or {}).items() if c > 0}
         for r, c in self._carried.items():
             self._acquire_row(r, prev=c)
-        for r in dict.fromkeys(labels):
+        for r in ids[np.argsort(first)].tolist():
             if r not in self._row_of:
                 self._acquire_row(r)
-        self._assign_row = np.array([self._row_of[r] for r in labels], dtype=np.int64)
+        self._assign_row = np.array([self._row_of[r] for r in ids.tolist()],
+                                    dtype=np.int64)[inverse]
         self._seats[:self._high] += np.bincount(self._assign_row, minlength=self._high)
         self._init_beta()
 
@@ -287,11 +308,10 @@ class SamplerState:
         ids = tuple(self._ids[rows].tolist())
         beta = np.ascontiguousarray(self._beta[:, rows].T)
         assign_ids = self._ids[self._assign_row]
-        u = soft_membership_from_arrays(self.graph.nodes, ids, sizes, beta, self.m)
+        u = soft_membership_from_arrays(self._node_ids, ids, sizes, beta, self.m)
         cover = extract_cover(u, self.hyper.theta)
         mod = extended_modularity(cover, self.graph)
-        return SampleRecord(sweep_index, self.graph.edges, assign_ids,
-                            ids, sizes, beta, cover, mod)
+        return SampleRecord(sweep_index, assign_ids, ids, sizes, beta, cover, mod)
 
 
 def _dirichlet_row(rng: np.random.Generator, shape: np.ndarray) -> np.ndarray:
@@ -312,36 +332,52 @@ def _as_rng(seed) -> np.random.Generator:
 
 
 def init_assignments_first(g: SnapshotGraph, hyper: HyperParams, seed,
-                           alloc: CommunityIdAllocator | None = None) -> dict[EdgeKey, int]:
-    """Uniform random assignment over max(1, N // k0_divisor) starting
-    communities; communities that receive no edge are simply never born."""
+                           alloc: CommunityIdAllocator | None = None) -> np.ndarray:
+    """Every edge's community id, in ``edge_array`` order: uniform random
+    over max(1, N // k0_divisor) starting communities; communities that
+    receive no edge are simply never born."""
     rng = _as_rng(seed)
     alloc = alloc if alloc is not None else CommunityIdAllocator()
     k0 = max(1, g.n // hyper.k0_divisor)
-    pool = [alloc.fresh() for _ in range(k0)]
-    labels = rng.integers(0, k0, size=g.m)
-    return {e: pool[int(lab)] for e, lab in zip(g.edges, labels)}
+    pool = np.array([alloc.fresh() for _ in range(k0)], dtype=np.int64)
+    return pool[rng.integers(0, k0, size=g.m)]
 
 
-def init_assignments_carry(g: SnapshotGraph, prev_assignment: Mapping[EdgeKey, int],
-                           hyper: HyperParams, seed,
-                           alloc: CommunityIdAllocator | None = None) -> dict[EdgeKey, int]:
-    """Surviving edges keep their previous community; new edges go uniformly
-    to one of the previously live communities (or one fresh community when
-    there were none)."""
+def init_assignments_carry(g: SnapshotGraph, prev: PrevSummary, hyper: HyperParams,
+                           seed, alloc: CommunityIdAllocator | None = None) -> np.ndarray:
+    """Every edge's community id, in ``edge_array`` order.  An edge whose
+    endpoint pair ``prev`` holds keeps its previous community; the new
+    edges, in edge order, go uniformly to one of the previously live
+    communities (or one fresh community when there were none)."""
     rng = _as_rng(seed)
-    live_prev = sorted(set(int(r) for r in prev_assignment.values()))
-    if not live_prev:
+    live_prev = np.unique(prev.labels)
+    if not len(live_prev):
         alloc = alloc if alloc is not None else CommunityIdAllocator()
-        live_prev = [alloc.fresh()]
-    new_edges = [e for e in g.edges if e not in prev_assignment]
-    labels = rng.integers(0, len(live_prev), size=len(new_edges))
-    out: dict[EdgeKey, int] = {}
-    for e in g.edges:
-        if e in prev_assignment:
-            out[e] = int(prev_assignment[e])
-    for e, lab in zip(new_edges, labels):
-        out[e] = live_prev[int(lab)]
+        live_prev = np.array([alloc.fresh()], dtype=np.int64)
+    src = _match_pairs(prev.ends, g.nodes[g.edge_array])
+    new = src < 0
+    labels = np.empty(g.m, dtype=np.int64)
+    labels[~new] = prev.labels[src[~new]]
+    labels[new] = live_prev[rng.integers(0, len(live_prev), size=int(new.sum()))]
+    return labels
+
+
+def _match_pairs(old: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """For each row of the (m, 2) id array ``ends``, the position of the
+    last equal row of ``old``, or -1 where ``old`` has none.  Rows are
+    compared as pairs, so ids of any size are safe."""
+    p = len(old)
+    pairs = np.concatenate((old, ends))
+    # a stable sort: equal pairs sit side by side in their given order,
+    # the rows of ``old`` before those of ``ends``
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    latest_old = np.maximum.accumulate(np.where(order < p, np.arange(len(order)), -1))
+    mine = order >= p
+    cand, row = latest_old[mine], order[mine]
+    hit = cand >= 0
+    hit[hit] = (pairs[order[cand[hit]]] == pairs[row[hit]]).all(axis=1)
+    out = np.full(len(ends), -1, dtype=np.int64)
+    out[row[hit] - p] = order[cand[hit]]
     return out
 
 
@@ -406,29 +442,35 @@ def gibbs_sweep(state: SamplerState) -> SamplerState:
     return state
 
 
-def run_snapshot(g: SnapshotGraph, prev: PrevSummary | None, hyper: HyperParams,
-                 seed, alloc: CommunityIdAllocator | None = None) -> list[SampleRecord]:
-    """Fit one snapshot and return every retained sweep as a SampleRecord."""
+def sweep_records(g: SnapshotGraph, prev: PrevSummary | None, hyper: HyperParams,
+                  seed, alloc: CommunityIdAllocator | None = None) -> Iterator[SampleRecord]:
+    """Fit one snapshot and yield every retained sweep's SampleRecord as
+    soon as the sweep ends, for callers that score every sweep."""
     rng = _as_rng(seed)
     alloc = alloc if alloc is not None else CommunityIdAllocator()
     if g.m == 0:
-        empty = SampleRecord(0, g.edges, np.empty(0, dtype=np.int64), (),
-                             np.empty(0, dtype=np.int64),
-                             np.zeros((0, g.n)), Cover(), 0.0)
-        return [empty]
+        yield SampleRecord(0, np.empty(0, dtype=np.int64), (), np.empty(0, dtype=np.int64),
+                           np.zeros((0, g.n)), Cover(), 0.0)
+        return
     if prev is None:
-        assignment = init_assignments_first(g, hyper, rng, alloc)
+        labels = init_assignments_first(g, hyper, rng, alloc)
         prev_counts: dict[int, int] = {}
     else:
-        assignment = init_assignments_carry(g, prev.assignment, hyper, rng, alloc)
-        prev_counts = dict(prev.counts)
-    state = SamplerState(g, assignment, prev_counts, hyper, rng, alloc)
-    sweeps = hyper.s_first if prev is None else hyper.s_later
-    records = []
-    for sweep_index in range(sweeps):
+        labels = init_assignments_carry(g, prev, hyper, rng, alloc)
+        prev_counts = prev.counts
+    state = SamplerState(g, labels, prev_counts, hyper, rng, alloc)
+    for sweep_index in range(hyper.s_first if prev is None else hyper.s_later):
         gibbs_sweep(state)
-        records.append(state.record(sweep_index))
-    return records
+        yield state.record(sweep_index)
+
+
+def run_snapshot(g: SnapshotGraph, prev: PrevSummary | None, hyper: HyperParams,
+                 seed, alloc: CommunityIdAllocator | None = None) -> list[SampleRecord]:
+    """Fit one snapshot and return its selected sweep in a list of one: the
+    record with the best extended modularity, a later sweep winning a tie,
+    as in ``select_best``.  The records are folded as they come, so only
+    the best so far and the newest are alive at any time."""
+    return [max(sweep_records(g, prev, hyper, seed, alloc), key=selection_key)]
 
 
 @dataclass
@@ -463,10 +505,11 @@ def detect_dynamic(net: DynamicNetwork, hyper: HyperParams | None = None,
     and takes fresh ids from its own allocator, started where the previous
     snapshot's winner stopped, so a seed gives the same result for any
     number of CPUs.  An exception raised in a chain, in this process or in
-    a worker, reaches the caller.  The workers are started with ``spawn``
-    and import the caller's main module again, so a script that runs
-    several chains keeps its top-level work under
-    ``if __name__ == "__main__":``.
+    a worker, reaches the caller.  The workers are forked on Linux when
+    this process runs no other thread.  Otherwise they are started with
+    ``spawn`` and import the caller's main module again, so on other
+    platforms a script that runs several chains keeps its top-level work
+    under ``if __name__ == "__main__":``.
     """
     hyper = hyper if hyper is not None else HyperParams()
     if chains < 1:
@@ -476,12 +519,25 @@ def detect_dynamic(net: DynamicNetwork, hyper: HyperParams | None = None,
     if workers == 1:
         return _detect(net, hyper, root, chains, map)
     # imported here so that single-chain runs never pay for the pool modules
-    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers - 1,
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
+    with ProcessPoolExecutor(workers - 1, mp_context=_pool_context()) as pool:
         return _detect(net, hyper, root, chains, partial(_fit_shared, pool, workers))
+
+
+def _pool_context():
+    """How chain workers start: ``fork`` on Linux, where a worker begins as
+    a copy of this process and imports nothing again, ``spawn`` elsewhere.
+
+    A forked child holds only the thread that forked it, so a lock another
+    thread held stays locked in the child; a process that runs other
+    threads spawns its workers instead.  The pool itself forks every worker
+    on its first task, before it starts a thread."""
+    import multiprocessing
+    import threading
+
+    fork = sys.platform == "linux" and threading.active_count() == 1
+    return multiprocessing.get_context("fork" if fork else "spawn")
 
 
 def _detect(net: DynamicNetwork, hyper: HyperParams, root: int, chains: int,
@@ -500,18 +556,17 @@ def _detect(net: DynamicNetwork, hyper: HyperParams, root: int, chains: int,
         cover, rec, c, high = best
         results.append(SnapshotResult(g.t, g, cover, rec, c))
         if g.m:
-            prev = PrevSummary.from_record(rec)
+            prev = PrevSummary.from_record(rec, g)
     return results
 
 
 def _fit_shared(pool, workers: int, fit, chains: range) -> list:
     """Fit chains ``0, workers, 2 * workers, ...`` in this process while
     ``pool`` fits the others; return every chain's fit in chain order."""
+    # a pool thread pickles the snapshot while this process samples from
+    # it, which is safe because fitting only reads a SnapshotGraph
     away = pool.map(fit, [c for c in chains if c % workers])
-    # a pool thread pickles the snapshot while this process samples, and
-    # sampling caches arrays on the snapshot, so the chains here fit a copy
-    here = partial(fit.func, copy.copy(fit.args[0]), *fit.args[1:])
-    mine = iter([here(c) for c in chains if c % workers == 0])
+    mine = iter([fit(c) for c in chains if c % workers == 0])
     return [next(away) if c % workers else next(mine) for c in chains]
 
 

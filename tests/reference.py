@@ -12,10 +12,16 @@ The functions from ``edge_index`` to ``edge_weights`` act on a
 ``SamplerState`` itself, one edge at a time: they take an edge out of its row, weigh the rows for it,
 draw its community and seat it again, with the seating rule that
 ``gibbs_sweep`` fuses into one loop over the edges.  Only the tests need
-them.  The last two are the edge-list invariants written out edge by
-edge: ``edge_key`` gives an edge's canonical form, and ``validate``
+them.  ``edge_key`` gives an edge's canonical form, and ``validate``
 lists every way a ``SnapshotGraph`` breaks the invariants that
-``load_dynamic`` and the generator must keep.
+``load_dynamic`` and the generator must keep, edge by edge.
+
+The last two are earlier forms of production code, kept as oracles:
+``init_assignments_carry_dict`` carries a seating over through a dict
+keyed by endpoint pairs, where the sampler matches id arrays, and
+``extended_modularity_dense`` takes the inside term of the modularity from
+two dense M x K gathers, where ``metrics`` visits only the (edge,
+community) pairs inside a community.
 """
 from __future__ import annotations
 
@@ -25,7 +31,10 @@ from typing import Mapping
 import numpy as np
 
 from dyncomm.graphs import GraphFormatError, SnapshotGraph
-from dyncomm.model import CommunityStats
+from dyncomm.membership import Cover
+from dyncomm.metrics import _cover_matrix
+from dyncomm.model import CommunityStats, HyperParams
+from dyncomm.sampler import CommunityIdAllocator
 
 
 def crp_weights(stats: CommunityStats, alpha: float) -> tuple[dict[int, float], float]:
@@ -188,3 +197,40 @@ def validate(g: SnapshotGraph) -> list[str]:
             if x not in node_set:
                 violations.append("dangling endpoint %d of edge (%d, %d)" % (x, u, v))
     return violations
+
+
+def init_assignments_carry_dict(g: SnapshotGraph, prev_assignment: Mapping[tuple[int, int], int],
+                                hyper: HyperParams, seed,
+                                alloc: CommunityIdAllocator | None = None) -> dict:
+    """Surviving edges keep their previous community; new edges, in edge
+    order, go uniformly to one of the previously live communities (or one
+    fresh community when there were none).  Returns {(u, v): id}."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    live_prev = sorted(set(int(r) for r in prev_assignment.values()))
+    if not live_prev:
+        alloc = alloc if alloc is not None else CommunityIdAllocator()
+        live_prev = [alloc.fresh()]
+    new_edges = [e for e in g.edges if e not in prev_assignment]
+    labels = rng.integers(0, len(live_prev), size=len(new_edges))
+    out = {}
+    for e in g.edges:
+        if e in prev_assignment:
+            out[e] = int(prev_assignment[e])
+    for e, lab in zip(new_edges, labels):
+        out[e] = live_prev[int(lab)]
+    return out
+
+
+def extended_modularity_dense(cover: Cover, g: SnapshotGraph) -> float:
+    """``metrics.extended_modularity`` with every community's inside term
+    summed over all M edges by ``einsum`` on two M x K gathers."""
+    if g.m == 0:
+        return 0.0
+    x = _cover_matrix(cover, g.nodes, "not in the snapshot")
+    o = x.sum(axis=0)
+    w = np.divide(x, o, out=np.zeros_like(x), where=o > 0)
+    ends = g.edge_array
+    two_m = 2.0 * g.m
+    inside = 2.0 * np.einsum("ek,ek->k", w.T[ends[:, 0]], w.T[ends[:, 1]])
+    terms = inside - (w * g.degree_array).sum(axis=1) ** 2 / two_m
+    return math.fsum(terms) / two_m

@@ -19,7 +19,7 @@ from dyncomm.membership import select_best
 from dyncomm.metrics import extended_modularity, overlapping_nmi
 from dyncomm.model import HyperParams, collapsed_partition_score
 from dyncomm.sampler import (SamplerState, detect_dynamic, gibbs_sweep,
-                             init_assignments_first, run_snapshot)
+                             init_assignments_first, sweep_records)
 
 RECOVERY_SEEDS = (1, 2, 3, 4, 5)
 
@@ -129,7 +129,7 @@ def recovery_runs():
         g = net.snapshots[0]
         records = []
         for chain in range(2):
-            records.extend(run_snapshot(g, None, hyper, seed=[seed, 0, chain]))
+            records.extend(sweep_records(g, None, hyper, seed=[seed, 0, chain]))
         cover, _ = select_best([(rec, rec.cover) for rec in records])
         nmis = [overlapping_nmi(rec.cover, truth.covers[0], range(cfg.n))
                 for rec in records]

@@ -17,6 +17,7 @@ PUBLIC_API = [
     "init_assignments_first", "load_covers", "load_dynamic",
     "load_schedule", "overlapping_nmi", "plant_memberships", "preset",
     "run_snapshot", "save_covers", "save_dynamic", "select_best",
+    "sweep_records",
 ]
 
 

@@ -290,10 +290,11 @@ def fail(*args):
     raise ValueError("chain failed in process %d" % os.getpid())
 
 
-# at module level, so the spawned workers, which import this script again,
+# at module level, so that spawned workers, which import this script again,
 # fit with it as well; only the chains that a worker fits fail
 sampler._fit_chain = fail
 sampler._usable_cpus = lambda: 2
+sampler._pool_context = lambda: multiprocessing.get_context(os.environ["START_METHOD"])
 
 if __name__ == "__main__":
     print("parent process %d" % os.getpid(), file=sys.stderr)
@@ -306,16 +307,17 @@ def test_detect_exits_nonzero_when_a_worker_chain_fails(bench_dir, tmp_path):
     script.write_text(FAILING_CHAIN)
     out = tmp_path / "det"
     src = Path(dyncomm.__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, str(script), "detect",
-                           str(bench_dir / "network.txt"), "--chains", "2",
-                           "--seed", "3", "--out", str(out)],
-                          env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 1, done.stderr
-    parent = int(done.stderr.split("parent process ")[1].split()[0])
-    failed = int(done.stderr.split("error: chain failed in process ")[1].split()[0])
-    assert failed != parent
-    assert not out.exists()
+    for method in ("fork", "spawn"):
+        done = subprocess.run([sys.executable, str(script), "detect",
+                               str(bench_dir / "network.txt"), "--chains", "2",
+                               "--seed", "3", "--out", str(out)],
+                              env=dict(os.environ, PYTHONPATH=str(src), START_METHOD=method),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        parent = int(done.stderr.split("parent process ")[1].split()[0])
+        failed = int(done.stderr.split("error: chain failed in process ")[1].split()[0])
+        assert failed != parent
+        assert not out.exists()
 
 
 def test_failed_write_leaves_out_as_it_was(bench_dir, tmp_path, monkeypatch, capsys):

@@ -37,7 +37,7 @@ def test_load_two_edge_path(tmp_path):
     net = load_dynamic(p)
     assert len(net) == 1
     g = net[0]
-    assert g.nodes == (0, 1, 2)
+    assert g.nodes.tolist() == [0, 1, 2]
     assert g.edges == ((0, 1), (1, 2))
 
 
@@ -180,7 +180,7 @@ def test_save_load_round_trip(tmp_path):
     assert len(back) == len(net)
     for g0, g1 in zip(net, back):
         assert g1.t == g0.t
-        assert g1.nodes == g0.nodes
+        assert np.array_equal(g1.nodes, g0.nodes)
         assert g1.edges == g0.edges
 
 
@@ -227,7 +227,7 @@ def test_save_load_round_trip_property(tmp_path_factory, net, rnd):
         back = load_dynamic(p)
         assert [g.t for g in back] == [g.t for g in net]
         for g0, g1 in zip(net, back):
-            assert g1.nodes == g0.nodes
+            assert np.array_equal(g1.nodes, g0.nodes)
             assert g1.edges == g0.edges
             assert np.array_equal(g1.edge_array, g0.edge_array)
 
@@ -261,3 +261,68 @@ def test_load_reports_the_first_bad_line(tmp_path):
     p = write(tmp_path, "-2 x 3\n")
     with pytest.raises(GraphFormatError, match="^line 1: negative id -2$"):
         load_dynamic(p)
+
+
+def test_constructor_takes_arrays_or_pairs_and_freezes_its_arrays():
+    pairs = [(9, 3), (3, 7), (7, 9)]
+    a = SnapshotGraph([9, 3, 7, 12], pairs, t=2)
+    b = SnapshotGraph(np.array([12, 7, 3, 9]), np.array(pairs), t=2)
+    for g in (a, b):
+        assert g.nodes.tolist() == [3, 7, 9, 12]
+        assert g.edges == ((9, 3), (3, 7), (7, 9))  # the given order and orientation
+        assert g.edge_array.tolist() == [[2, 0], [0, 1], [1, 2]]
+        assert g.degree_array.tolist() == [2.0, 2.0, 2.0, 0.0]
+        assert g.node_index == {3: 0, 7: 1, 9: 2, 12: 3}
+        for arr in (g.nodes, g.edge_array, g.degree_array):
+            assert not arr.flags.writeable
+    empty = SnapshotGraph([], [])
+    assert (empty.n, empty.m, empty.edges) == (0, 0, ())
+    assert empty.edge_array.shape == (0, 2)
+
+
+def test_load_keeps_18_digit_ids_apart(tmp_path):
+    big = 999_999_999_999_999_999
+    p = write(tmp_path, "1 %d %d\n1 %d 7\n1 n %d\n" % (big, big - 1, big, big - 2))
+    g = load_dynamic(p)[0]
+    assert g.nodes.tolist() == [7, big - 2, big - 1, big]
+    assert g.edges == ((7, big), (big - 1, big))
+
+
+def test_load_reads_a_file_longer_than_one_piece(tmp_path, monkeypatch):
+    # pieces are cut at line ends, and a line longer than a piece is read
+    # whole; line numbers count on across pieces
+    import dyncomm.graphs as graphs
+    monkeypatch.setattr(graphs, "_PIECE", 16)
+    long_comment = "# " + "x" * 40
+    text = "1 0 1\n1 1 2 %s\n2 n 5\n\n2 3 4\n1 2 3\n" % long_comment
+    net = load_dynamic(write(tmp_path, text))
+    assert [g.edges for g in net] == [((0, 1), (1, 2), (2, 3)), ((3, 4),)]
+    assert net[1].nodes.tolist() == [3, 4, 5]
+    p = write(tmp_path, text + "2 7\n")
+    with pytest.raises(GraphFormatError, match="^line 7: expected"):
+        load_dynamic(p)
+    p = write(tmp_path, text.replace("\n", "\r\n") + "2 7 7\r\n")
+    with pytest.raises(GraphFormatError, match="^line 7: self-loop at line 7$"):
+        load_dynamic(p)
+
+
+def test_load_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
+    # 60,000 edge lines over six snapshots; the bound was set before the
+    # parse worked in pieces, when the peak was 28 times the file's size
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    lines = []
+    for t in range(1, 7):
+        u = rng.integers(0, 2000, size=10_000)
+        v = (u + rng.integers(1, 2000, size=10_000)) % 2000
+        lines += ["%d %d %d\n" % (t, a, b) for a, b in zip(u.tolist(), v.tolist())]
+    p = write(tmp_path, "".join(lines))
+    tracemalloc.start()
+    try:
+        net = load_dynamic(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(net) == 6
+    assert peak < 10 * p.stat().st_size

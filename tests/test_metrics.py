@@ -14,6 +14,7 @@ from dyncomm.metrics import (
     extended_modularity,
     overlapping_nmi,
 )
+from reference import extended_modularity_dense
 
 
 def newman_modularity(g, partition):
@@ -141,6 +142,47 @@ def test_modularity_matches_newman_on_partitions(case):
     g, parts = case
     assert extended_modularity(Cover(parts), g) == pytest.approx(
         newman_modularity(g, [p for p in parts.values() if p]), abs=1e-12)
+
+
+@st.composite
+def overlapping_cases(draw):
+    """A graph of 1-20 nodes plus 0-3 isolated ones, with 0-40 edges, and a
+    cover of 0-8 communities over all of its nodes, each of any size, so
+    that empty communities, covered isolated nodes and nodes in several
+    communities come up."""
+    n = draw(st.integers(1, 20))
+    nodes = n + draw(st.integers(0, 3))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)) if pairs else []
+    comms = draw(st.lists(st.sets(st.integers(0, nodes - 1), max_size=nodes), max_size=8))
+    return SnapshotGraph(range(nodes), edges), Cover(dict(enumerate(comms)))
+
+
+# no communities; no edges; an empty community; node 2 in three communities
+# and node 6 isolated but covered
+@example(case=(SnapshotGraph(range(4), [(0, 1), (2, 3)]), Cover()))
+@example(case=(SnapshotGraph(range(3), []), Cover({0: {0, 1}})))
+@example(case=(SnapshotGraph(range(7), [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4),
+                                        (2, 5)]),
+               Cover({0: {0, 1, 2}, 1: set(), 2: {2, 3, 4}, 3: {2, 5, 6}})))
+@settings(max_examples=300, deadline=None)
+@given(case=overlapping_cases())
+def test_modularity_matches_the_dense_form_bit_for_bit(case):
+    g, cover = case
+    assert extended_modularity(cover, g) == extended_modularity_dense(cover, g)
+
+
+def test_modularity_matches_the_dense_form_on_large_covers():
+    # the sizes of a detect's early sweeps: thousands of edges, K near 100,
+    # and nodes in up to a dozen communities
+    rng = np.random.default_rng(42)
+    for trial in range(4):
+        g = random_graph(rng, 400, tries=5000)
+        cover = Cover({c: set(rng.choice(400, size=int(rng.integers(0, 40)),
+                                         replace=False).tolist())
+                       for c in range(100)})
+        assert max(cover.membership_counts().values()) >= 3
+        assert extended_modularity(cover, g) == extended_modularity_dense(cover, g)
 
 
 def test_modularity_bounded():

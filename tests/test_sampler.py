@@ -1,5 +1,7 @@
 import multiprocessing
+import threading
 import time
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -21,9 +23,11 @@ from dyncomm.sampler import (
     init_assignments_carry,
     init_assignments_first,
     run_snapshot,
+    sweep_records,
 )
 from reference import (add_idx, crp_weights, draw_for_edge, edge_index, edge_likelihood,
-                       edge_weights, new_group_weight, rcrp_weights, remove_edge, remove_idx)
+                       edge_weights, init_assignments_carry_dict, new_group_weight,
+                       rcrp_weights, remove_edge, remove_idx)
 
 
 def random_graph(rng, n, tries):
@@ -46,25 +50,40 @@ def test_init_first_uses_n_over_divisor_communities():
     alloc = CommunityIdAllocator()
     assign = init_assignments_first(g, HyperParams(), seed=0, alloc=alloc)
     assert alloc.high_water == 100  # pool size before pruning
-    assert set(assign.values()) <= set(range(100))
+    assert assign.shape == (g.m,) and assign.dtype == np.int64
+    assert set(assign.tolist()) <= set(range(100))
 
 
 def test_init_first_clamps_pool_to_one():
     g = SnapshotGraph(range(4), [(0, 1), (1, 2), (2, 3)])
     assign = init_assignments_first(g, HyperParams(), seed=1)
-    assert len(set(assign.values())) == 1
+    assert len(set(assign.tolist())) == 1
 
 
 def test_init_first_deterministic():
     g = SnapshotGraph(range(30), [(i, (i + 7) % 30) for i in range(30)])
     a = init_assignments_first(g, HyperParams(), seed=5)
     b = init_assignments_first(g, HyperParams(), seed=5)
-    assert a == b
+    assert np.array_equal(a, b)
+
+
+def summary(assignment):
+    """A PrevSummary of the seating ``{(u, v): community id}``."""
+    ends = np.array(list(assignment), dtype=np.int64).reshape(-1, 2)
+    labels = np.array(list(assignment.values()), dtype=np.int64)
+    return PrevSummary(ends, labels, dict(Counter(labels.tolist())))
+
+
+def carried(g, prev_assignment, seed, alloc=None):
+    """``init_assignments_carry``'s seating of g as ``{(u, v): community id}``."""
+    labels = init_assignments_carry(g, summary(prev_assignment), HyperParams(), seed, alloc)
+    assert labels.shape == (g.m,) and labels.dtype == np.int64
+    return dict(zip(g.edges, labels.tolist()))
 
 
 def test_init_carry_keeps_surviving_edges():
     g = SnapshotGraph(range(3), [(0, 1), (1, 2)])
-    assign = init_assignments_carry(g, {(0, 1): 41}, HyperParams(), seed=0)
+    assign = carried(g, {(0, 1): 41}, seed=0)
     assert assign[(0, 1)] == 41
     assert assign[(1, 2)] == 41  # only one live previous community
 
@@ -72,20 +91,20 @@ def test_init_carry_keeps_surviving_edges():
 def test_init_carry_all_new_edges_use_previous_pool():
     g = SnapshotGraph(range(6), [(0, 1), (2, 3), (4, 5)])
     prev = {(0, 2): 7, (1, 3): 9}
-    assign = init_assignments_carry(g, prev, HyperParams(), seed=3)
+    assign = carried(g, prev, seed=3)
     assert set(assign.values()) <= {7, 9}
 
 
 def test_init_carry_removed_edge_absent():
     g = SnapshotGraph(range(3), [(1, 2)])
-    assign = init_assignments_carry(g, {(0, 1): 4, (1, 2): 5}, HyperParams(), seed=0)
+    assign = carried(g, {(0, 1): 4, (1, 2): 5}, seed=0)
     assert assign == {(1, 2): 5}
 
 
 def test_init_carry_empty_prev_falls_back_to_fresh_community():
     g = SnapshotGraph(range(4), [(0, 1), (2, 3)])
     alloc = CommunityIdAllocator(start=11)
-    assign = init_assignments_carry(g, {}, HyperParams(), seed=0, alloc=alloc)
+    assign = carried(g, {}, seed=0, alloc=alloc)
     assert set(assign.values()) == {11}
 
 
@@ -385,7 +404,7 @@ def test_retired_ids_never_return_on_first_snapshot():
     rng = np.random.default_rng(23)
     h = HyperParams(s_first=30)
     g = random_graph(rng, 20, 70)
-    records = run_snapshot(g, None, h, seed=23)
+    records = sweep_records(g, None, h, seed=23)
     seen_then_gone: set[int] = set()
     prev_ids: set[int] = set()
     for rec in records:
@@ -399,8 +418,9 @@ def test_run_snapshot_deterministic():
     rng = np.random.default_rng(25)
     g = random_graph(rng, 14, 45)
     h = HyperParams(s_first=12)
-    a = run_snapshot(g, None, h, seed=99)
-    b = run_snapshot(g, None, h, seed=99)
+    a = list(sweep_records(g, None, h, seed=99))
+    b = list(sweep_records(g, None, h, seed=99))
+    assert len(a) == len(b) == 12
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.assign_ids, rb.assign_ids)
         assert np.array_equal(ra.beta, rb.beta)
@@ -544,11 +564,12 @@ def test_seating_view_twins_grow_in_mid_sweep():
 def test_run_snapshot_record_counts():
     rng = np.random.default_rng(26)
     g = random_graph(rng, 10, 30)
-    records = run_snapshot(g, None, HyperParams(), seed=1)
+    records = list(sweep_records(g, None, HyperParams(), seed=1))
     assert len(records) == 100
-    prev = PrevSummary.from_record(records[-1])
-    records2 = run_snapshot(g, prev, HyperParams(), seed=2)
-    assert len(records2) == 50
+    assert len(run_snapshot(g, None, HyperParams(), seed=1)) == 1
+    prev = PrevSummary.from_record(records[-1], g)
+    assert len(list(sweep_records(g, prev, HyperParams(), seed=2))) == 50
+    assert len(run_snapshot(g, prev, HyperParams(), seed=2)) == 1
 
 
 def test_run_snapshot_empty_graph():
@@ -664,30 +685,79 @@ class FailsInWorkers(SnapshotGraph):
     """A snapshot that a worker process refuses and this process accepts."""
 
     @property
-    def edge_array(self):
+    def m(self):
         if multiprocessing.parent_process() is not None:
-            raise GraphFormatError("%r is refused in a worker" % self)
-        return SnapshotGraph.edge_array.func(self)
+            raise GraphFormatError("snapshot %d is refused in a worker" % self.t)
+        return SnapshotGraph.m.fget(self)
+
+
+class FailsEverywhere(SnapshotGraph):
+    """A snapshot that every chain refuses."""
+
+    @property
+    def m(self):
+        raise GraphFormatError("snapshot %d is refused everywhere" % self.t)
 
 
 def test_chain_error_in_a_worker_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+    for method in ("fork", "spawn"):
+        monkeypatch.setattr(sampler, "_pool_context",
+                            lambda method=method: multiprocessing.get_context(method))
+        check_chain_errors_reach_the_caller()
+
+
+def check_chain_errors_reach_the_caller():
     # chain 0 runs in this process and passes; chain 1 fails in the worker
     g = FailsInWorkers([0, 1, 2], [(0, 1), (1, 2)], t=1)
     with pytest.raises(GraphFormatError, match="refused in a worker") as err:
         detect_dynamic(DynamicNetwork([g]), HyperParams(s_first=2), seed=1, chains=2)
     assert type(err.value.__cause__).__name__ == "_RemoteTraceback"
     assert children_gone()
-    # endpoint 5 is not a node, so edge_array raises in every chain, first
-    # in the one this process fits
-    bad = DynamicNetwork([SnapshotGraph([0, 1, 2], [(0, 1), (1, 5)], t=1)])
-    with pytest.raises(GraphFormatError, match="outside its nodes"):
+    # every chain raises, first the one this process fits
+    bad = DynamicNetwork([FailsEverywhere([0, 1, 2], [(0, 1), (1, 2)], t=1)])
+    with pytest.raises(GraphFormatError, match="refused everywhere") as err:
         detect_dynamic(bad, HyperParams(s_first=2), seed=1, chains=2)
+    assert err.value.__cause__ is None
     assert children_gone()
     results = detect_dynamic(three_snapshots(32), HyperParams(s_first=2, s_later=2),
                              seed=1, chains=2)
     assert [r.t for r in results] == [1, 2, 3]
     assert children_gone()
+
+
+def test_chain_workers_fork_on_linux_and_spawn_elsewhere(monkeypatch):
+    monkeypatch.setattr(sampler.sys, "platform", "linux")
+    assert sampler._pool_context().get_start_method() == "fork"
+    for platform in ("darwin", "win32"):
+        monkeypatch.setattr(sampler.sys, "platform", platform)
+        assert sampler._pool_context().get_start_method() == "spawn"
+    # a process with another thread running spawns, on Linux too
+    monkeypatch.setattr(sampler.sys, "platform", "linux")
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(30,))
+    other.start()
+    try:
+        assert sampler._pool_context().get_start_method() == "spawn"
+    finally:
+        stop.set()
+        other.join(timeout=30)
+    assert not other.is_alive()
+
+
+def test_fitting_leaves_the_snapshot_as_it_was(monkeypatch):
+    # the chains of a snapshot share it, in this process and while a pool
+    # thread pickles it for the workers, so fitting must not write to it
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+    net = three_snapshots(33)
+    before = [dict(vars(g)) for g in net]
+    detect_dynamic(net, HyperParams(s_first=4, s_later=3), seed=2, chains=2)
+    for g, attrs in zip(net, before):
+        assert vars(g).keys() == attrs.keys()
+        for name, value in attrs.items():
+            assert vars(g)[name] is value
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable
 
 
 # ---------------------------------------------------------------- posterior smoke
@@ -719,3 +789,110 @@ def test_two_edge_chain_matches_exact_posterior():
     tv = 0.5 * float(np.abs(empirical - exact).sum())
     assert tv < 0.05, "TV %.4f against exact posterior %s vs %s" % (
         tv, exact, empirical)
+
+
+# ---------------------------------------------------------------- streaming selection
+
+
+def test_run_snapshot_keeps_at_most_two_records_alive(monkeypatch):
+    refs, alive = [], []
+    record = SamplerState.record
+
+    def tracked(state, sweep_index):
+        rec = record(state, sweep_index)
+        refs.append(weakref.ref(rec))
+        alive.append(sum(r() is not None for r in refs))
+        return rec
+
+    monkeypatch.setattr(SamplerState, "record", tracked)
+    g = random_graph(np.random.default_rng(34), 20, 80)
+    (best,) = run_snapshot(g, None, HyperParams(s_first=50), seed=3)
+    assert len(refs) == 50
+    assert max(alive) <= 2
+    survivors = [r() for r in refs if r() is not None]
+    assert len(survivors) == 1 and survivors[0] is best
+
+
+def test_run_snapshot_tie_goes_to_the_later_sweep(monkeypatch):
+    monkeypatch.setattr(sampler, "extended_modularity", lambda cover, g: 0.25)
+    g = random_graph(np.random.default_rng(35), 12, 40)
+    (best,) = run_snapshot(g, None, HyperParams(s_first=7), seed=1)
+    assert (best.modularity, best.sweep_index) == (0.25, 6)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_run_snapshot_selects_what_select_best_selects(seed):
+    rng = np.random.default_rng(36 + seed)
+    g0, g1 = random_graph(rng, 14, 50), random_graph(rng, 14, 50)
+    h = HyperParams(s_first=15, s_later=8)
+    prev = None
+    for g in (g0, g1):  # a first snapshot, then one carried over from it
+        alloc = CommunityIdAllocator(9)
+        records = list(sweep_records(g, prev, h, np.random.default_rng([seed, 1]), alloc))
+        cover, want = select_best([(r, r.cover) for r in records])
+        (got,) = run_snapshot(g, prev, h, np.random.default_rng([seed, 1]),
+                              CommunityIdAllocator(9))
+        assert got.sweep_index == want.sweep_index
+        assert got.modularity == want.modularity
+        assert np.array_equal(got.assign_ids, want.assign_ids)
+        assert np.array_equal(got.beta, want.beta)
+        assert got.cover == cover
+        prev = PrevSummary.from_record(got, g)
+
+
+# ---------------------------------------------------------------- array carry-over
+
+
+def assert_carry_matches_the_dict_form(g0, g1, seed):
+    """Summarize a fitted sweep of g0 and start g1 from it, through the
+    arrays and through the dict form of ``reference``, with the same draws."""
+    h = HyperParams(s_first=3)
+    (rec,) = run_snapshot(g0, None, h, seed=seed)
+    prev = PrevSummary.from_record(rec, g0)
+    assignment = dict(zip(g0.edges, rec.assign_ids.tolist()))
+    counts = {}
+    for r in rec.assign_ids.tolist():
+        counts[r] = counts.get(r, 0) + 1
+    assert list(prev.counts.items()) == list(counts.items())  # first-seen order
+    fast, slow = CommunityIdAllocator(50), CommunityIdAllocator(50)
+    labels = init_assignments_carry(g1, prev, h, np.random.default_rng(seed), fast)
+    want = init_assignments_carry_dict(g1, assignment, h, np.random.default_rng(seed), slow)
+    assert labels.tolist() == [want[e] for e in g1.edges]
+    assert fast.high_water == slow.high_water
+    return labels
+
+
+def test_array_carry_over_matches_the_dict_form_on_a_benchmark():
+    from dyncomm.benchgen import GenConfig, generate_dynamic
+
+    cfg = GenConfig(n=80, k=3, overlap_nodes=6, memberships_per_overlap=2,
+                    mixing=0.1, avg_degree=8, t=3, churn=0.2, seed=4)
+    net, _ = generate_dynamic(cfg)
+    for g0, g1 in zip(net, net.snapshots[1:]):
+        kept = len(set(g0.edges) & set(g1.edges))
+        assert 0 < kept < g1.m
+        for seed in (1, 2):
+            assert_carry_matches_the_dict_form(g0, g1, seed)
+
+
+def test_array_carry_over_matches_the_dict_form_on_a_file(tmp_path):
+    # 18-digit ids, isolated nodes, edges written out of order and reversed
+    from dyncomm.graphs import load_dynamic
+
+    big = 999_999_999_999_999_990
+    ids = [big + k for k in range(8)] + [3, 5]
+    rng = np.random.default_rng(6)
+    lines = ["2 n %d" % big, "1 n 17"]
+    for t in (1, 2):
+        for _ in range(25):
+            u, v = rng.choice(ids, size=2, replace=False).tolist()
+            lines.append("%d %d %d" % (t, u, v))
+    rng.shuffle(lines)
+    path = tmp_path / "net.txt"
+    path.write_text("\n".join(lines) + "\n")
+    g0, g1 = load_dynamic(path)
+    assert 17 in g0.nodes.tolist() and g0.degrees[17] == 0
+    assert 0 < len(set(g0.edges) & set(g1.edges)) < g1.m
+    for seed in (1, 2, 3):
+        labels = assert_carry_matches_the_dict_form(g0, g1, seed)
+        assert len(labels) == g1.m
