@@ -32,7 +32,7 @@ def main():
     print(" t   true K   found K   NMI     modularity")
     for res, planted, true_k in zip(results, truth.covers, truth.k_series):
         nmi = overlapping_nmi(res.cover, planted, range(cfg.n))
-        mod = res.record.modularity
+        mod = res.modularity
         marker = "" if abs(res.cover.k - true_k) <= 1 else "  <- off"
         print(" %d     %d        %d      %.3f     %.3f%s"
               % (res.t, true_k, res.cover.k, nmi, mod, marker))

@@ -15,8 +15,8 @@ from .benchgen import (Event, GenConfig, GenError, GenSchedule, GroundTruth,
                        load_schedule, plant_memberships, preset)
 from .graphs import (DynamicNetwork, GraphFormatError, SnapshotGraph,
                      load_dynamic, save_dynamic)
-from .membership import (Cover, SoftMembership, extract_cover, load_covers,
-                         save_covers, select_best)
+from .membership import (Cover, extract_cover, load_covers, save_covers,
+                         select_best)
 from .metrics import (MetricReport, MetricRow, extended_modularity,
                       overlapping_nmi)
 from .model import (CommunityStats, HyperParams, collapsed_partition_score,
@@ -32,7 +32,7 @@ __all__ = [
     "plant_memberships", "preset",
     "DynamicNetwork", "GraphFormatError", "SnapshotGraph", "load_dynamic",
     "save_dynamic",
-    "Cover", "SoftMembership", "extract_cover", "load_covers", "save_covers",
+    "Cover", "extract_cover", "load_covers", "save_covers",
     "select_best",
     "MetricReport", "MetricRow", "extended_modularity", "overlapping_nmi",
     "CommunityStats", "HyperParams", "collapsed_partition_score",

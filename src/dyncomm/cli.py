@@ -222,7 +222,7 @@ def cmd_detect(cfg: RunConfig) -> int:
         if truth is not None:
             nmi = overlapping_nmi(res.cover, truth[res.t],
                                   _nmi_universe(res.graph, truth[res.t]))
-        rows.append(MetricRow(res.t, nmi, res.record.modularity, res.cover.k))
+        rows.append(MetricRow(res.t, nmi, res.modularity, res.cover.k))
     report = MetricReport(rows)
     with _staged(cfg.out) as stage:
         save_covers(stage / "covers.txt", {r.t: r.cover for r in results})

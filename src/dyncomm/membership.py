@@ -3,26 +3,17 @@
 A node's pull toward community r is u_ir = (n_r / M) * beta_ir: the
 community's share of all edges times the node's importance in it.  The
 cover keeps node i in every community whose pull is within a factor theta
-of i's strongest one.
+of i's strongest one.  The pulls and the kept (community, node) pairs are
+K x N arrays; only ``extract_cover`` builds the sets of a ``Cover``.
 """
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-
-
-class SoftMembership:
-    """Membership weights u over (community, node)."""
-
-    def __init__(self, nodes: Sequence[int], ids: Sequence[int], u: np.ndarray):
-        self.nodes = tuple(nodes)
-        self.ids = tuple(int(r) for r in ids)
-        self.u = np.asarray(u, dtype=np.float64)
-        if self.u.shape != (len(self.ids), len(self.nodes)):
-            raise ValueError("u has shape %r, expected (%d, %d)"
-                             % (self.u.shape, len(self.ids), len(self.nodes)))
 
 
 @dataclass
@@ -41,52 +32,48 @@ class Cover:
         return sum(1 for members in self.communities.values() if members)
 
     def covered_nodes(self) -> set[int]:
-        out: set[int] = set()
-        for members in self.communities.values():
-            out |= members
-        return out
+        return set().union(*self.communities.values())
 
     def membership_counts(self) -> dict[int, int]:
         """O_i: how many communities contain each covered node."""
-        counts: dict[int, int] = {}
-        for members in self.communities.values():
-            for i in members:
-                counts[i] = counts.get(i, 0) + 1
-        return counts
+        return dict(Counter(i for members in self.communities.values() for i in members))
 
 
-def soft_membership_from_arrays(nodes: Sequence[int], ids: Sequence[int],
-                                sizes: np.ndarray, beta: np.ndarray,
-                                m: int) -> SoftMembership:
-    """u_ir = (n_r / M) * beta_ir for each community row; empty when M = 0."""
-    if m < 1 or len(ids) == 0:
-        return SoftMembership(nodes, (), np.empty((0, len(tuple(nodes)))))
-    u = (np.asarray(sizes, dtype=np.float64)[:, None] / float(m)) * np.asarray(beta)
-    return SoftMembership(nodes, ids, u)
+def soft_membership_from_arrays(sizes: np.ndarray, beta: np.ndarray, m: int) -> np.ndarray:
+    """u_ir = (n_r / M) * beta_ir: a K x N array, one row per row of the
+    K x N ``beta`` and its size in ``sizes``; no rows when M = 0."""
+    if m < 1:
+        return np.empty((0, np.shape(beta)[-1]))
+    return (np.asarray(sizes, dtype=np.float64)[:, None] / float(m)) * np.asarray(beta)
 
 
-def extract_cover(u: SoftMembership, theta: float) -> Cover:
-    """Apply the theta-rule: i joins r iff u_ir >= theta * max_s u_is.
-
-    The comparison is >= so that theta = 1 keeps exact ties.  Nodes whose
-    u row is all zero (isolated nodes) join nothing; communities that end
-    up empty are dropped.
-    """
+def theta_mask(u: np.ndarray, theta: float) -> np.ndarray:
+    """The theta-rule as a K x N boolean mask over the pulls ``u``: i joins
+    r iff u_ir >= theta * max_s u_is, so theta = 1 keeps exact ties, and a
+    node whose pulls are all zero (an isolated node) joins nothing."""
     if not 0 < theta <= 1:
         raise ValueError("theta must be in (0, 1], got %r" % (theta,))
+    return (u >= theta * u.max(axis=0, initial=0.0)) & (u > 0)
+
+
+def extract_cover(u: np.ndarray, ids: Sequence[int], nodes: Sequence[int],
+                  theta: float) -> Cover:
+    """The Cover of ``theta_mask(u, theta)``, where u's rows are the
+    communities ``ids`` and its columns the nodes ``nodes``; each member's
+    pull is its weight, and a community left empty is dropped."""
+    u = np.asarray(u, dtype=np.float64)
+    nodes = np.asarray(nodes)
+    if u.shape != (len(ids), len(nodes)):
+        raise ValueError("u has shape %r, expected (%d, %d)"
+                         % (u.shape, len(ids), len(nodes)))
     cover = Cover()
-    if not u.ids:
-        return cover
-    col_max = u.u.max(axis=0)
-    keep = (u.u >= theta * col_max) & (u.u > 0)
-    for a, r in enumerate(u.ids):
-        row = np.nonzero(keep[a])[0]
-        if len(row) == 0:
+    for r, keep, pull in zip(ids, theta_mask(u, theta), u):
+        cols = np.flatnonzero(keep)
+        if len(cols) == 0:
             continue
-        members = {u.nodes[b] for b in row}
-        cover.communities[r] = members
-        for b in row:
-            cover.weights[(u.nodes[b], r)] = float(u.u[a, b])
+        r, members = int(r), nodes[cols].tolist()
+        cover.communities[r] = set(members)
+        cover.weights.update(zip([(i, r) for i in members], pull[cols].tolist()))
     return cover
 
 
@@ -119,19 +106,23 @@ def save_covers(path, covers: Mapping[int, Cover]) -> None:
 
 
 def load_covers(path) -> dict[int, Cover]:
-    """Inverse of save_covers; tolerates comments and blank lines."""
+    """Inverse of save_covers; tolerates comments and blank lines.  A line
+    that is not three integers and a finite u raises naming file and line."""
     out: dict[int, Cover] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            toks = line.split()
-            if len(toks) != 4:
-                raise ValueError("line %d: expected 't community node u', got %r"
-                                 % (lineno, raw.rstrip("\n")))
-            t, r, i = int(toks[0]), int(toks[1]), int(toks[2])
-            w = float(toks[3])
+            try:
+                t, r, i, w = line.split()
+                t, r, i, w = int(t), int(r), int(i), float(w)
+                ok = math.isfinite(w)
+            except ValueError:  # a wrong token count or an unreadable token
+                ok = False
+            if not ok:
+                raise ValueError("%s line %d: expected 't community node u' with a "
+                                 "finite u, got %r" % (path, lineno, raw.rstrip("\n")))
             cover = out.setdefault(t, Cover())
             cover.communities.setdefault(r, set()).add(i)
             cover.weights[(i, r)] = w

@@ -1,7 +1,8 @@
 """Cover quality measures and the per-snapshot metric report.
 
 Both scores start from a cover's K x N 0/1 membership matrix X (one row per
-nonempty community, in id order).  Extended modularity is Shen's form
+nonempty community, in id order), or X given as is.  Extended modularity is
+Shen's form
 
     EQ = (1 / 2M) * sum_c sum_{i,j in c} (1 / (O_i O_j)) * (A_ij - k_i k_j / 2M)
 
@@ -44,11 +45,17 @@ def _cover_matrix(cover: Cover, nodes: np.ndarray, where: str) -> np.ndarray:
     return x
 
 
-def extended_modularity(cover: Cover, g: SnapshotGraph) -> float:
-    """Overlapping modularity of a cover on one snapshot; 0 when M = 0."""
+def extended_modularity(cover: Cover | np.ndarray, g: SnapshotGraph) -> float:
+    """Overlapping modularity on one snapshot, 0 when M = 0, of a Cover or
+    of a 0/1 (community, node) array over ``g.nodes`` with rows in any order."""
     if g.m == 0:
         return 0.0
-    x = _cover_matrix(cover, g.nodes, "not in the snapshot")
+    if isinstance(cover, Cover):
+        x = _cover_matrix(cover, g.nodes, "not in the snapshot")
+    else:
+        x = np.asarray(cover, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != g.n or not np.isin(x, (0.0, 1.0)).all():
+            raise ValueError("expected a 0/1 array of shape (k, %d), got %r" % (g.n, x.shape))
     o = x.sum(axis=0)
     w = np.divide(x, o, out=np.zeros_like(x), where=o > 0)
     two_m = 2.0 * g.m
@@ -152,14 +159,9 @@ class MetricReport:
             writer.writerow([r.t, "" if r.nmi is None else str(r.nmi),
                              str(r.modularity), r.k_detected])
         agg = self.aggregates()
-        for stat in ("mean", "std"):
-            pick = 0 if stat == "mean" else 1
-            writer.writerow([
-                stat,
-                str(agg["nmi"][pick]) if "nmi" in agg else "",
-                str(agg["modularity"][pick]) if "modularity" in agg else "",
-                str(agg["k_detected"][pick]) if "k_detected" in agg else "",
-            ])
+        for pick, stat in enumerate(("mean", "std")):
+            writer.writerow([stat] + [str(agg[key][pick]) if key in agg else ""
+                                      for key in ("nmi", "modularity", "k_detected")])
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

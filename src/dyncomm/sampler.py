@@ -25,9 +25,10 @@ array the weights read.  The per-node endpoint counts and the current
 sizes are recounted from the seating with ``np.bincount`` where they are
 read: the maximum-likelihood start, and the beta redraw once per sweep.
 
-A chain scores each sweep as it ends (``sweep_records``) and keeps only
-the best record so far (``run_snapshot``), so it holds one state and at
-most two records whatever the sweep count.  Seatings are int arrays of
+A chain scores each sweep as it ends (``sweep_records``) from its
+theta-rule mask and keeps only the best record so far (``run_snapshot``),
+so it holds one state and at most two records whatever the sweep count;
+only each snapshot's winner builds a ``Cover``.  Seatings are int arrays of
 community ids in ``edge_array`` order from the first draw to the record.
 The winner passes on its endpoint id pairs and their labels, and the
 next snapshot's surviving edges find their labels by one sort of the
@@ -46,14 +47,15 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .graphs import DynamicNetwork, SnapshotGraph
-from .membership import (Cover, extract_cover, select_best, selection_key,
-                         soft_membership_from_arrays)
+from .membership import (Cover, extract_cover, selection_key,
+                         soft_membership_from_arrays, theta_mask)
+from .membership import select_best  # noqa: F401  perfbench/spans.py wraps it here
 from .metrics import extended_modularity
 from .model import EdgeKey, HyperParams
 
@@ -82,15 +84,22 @@ class CommunityIdAllocator:
 class SampleRecord:
     """One retained sweep: every edge's community id (``assign_ids``, in
     the snapshot's ``edge_array`` order), the ids, sizes and betas of the
-    communities that hold edges, and the extracted cover."""
+    communities that hold edges, and its cover's extended modularity.  The
+    cover is built on first read, over the snapshot's ``nodes``."""
 
     sweep_index: int
     assign_ids: np.ndarray
     ids: tuple[int, ...]
     sizes: np.ndarray
     beta: np.ndarray
-    cover: Cover
     modularity: float
+    nodes: np.ndarray
+    theta: float
+
+    @cached_property
+    def cover(self) -> Cover:
+        u = soft_membership_from_arrays(self.sizes, self.beta, int(self.sizes.sum()))
+        return extract_cover(u, self.ids, self.nodes, self.theta)
 
 
 @dataclass
@@ -139,7 +148,6 @@ class SamplerState:
         self.n_nodes = graph.n
         self.m = graph.m
         self._ends = graph.edge_array.tolist()
-        self._node_ids = tuple(graph.nodes.tolist())
         self._prior_shape = np.full(self.n_nodes, hyper.gamma)
         # a brand-new community weighs alpha * gamma^2 / (gamma0 * (gamma0 + 1)),
         # the closed form of the Dirichlet-marginal edge probability
@@ -301,17 +309,18 @@ class SamplerState:
             "a live beta row is off the simplex"
 
     def record(self, sweep_index: int) -> SampleRecord:
-        """Copy the current state into a SampleRecord with its cover."""
+        """Copy the current state into a SampleRecord, scored from its
+        theta-rule membership mask."""
         live = self._live_rows()
         sizes = (self._seats[live] - self._prev[live]).astype(np.int64)
         rows, sizes = live[sizes > 0], sizes[sizes > 0]
         ids = tuple(self._ids[rows].tolist())
         beta = np.ascontiguousarray(self._beta[:, rows].T)
         assign_ids = self._ids[self._assign_row]
-        u = soft_membership_from_arrays(self._node_ids, ids, sizes, beta, self.m)
-        cover = extract_cover(u, self.hyper.theta)
-        mod = extended_modularity(cover, self.graph)
-        return SampleRecord(sweep_index, assign_ids, ids, sizes, beta, cover, mod)
+        u = soft_membership_from_arrays(sizes, beta, self.m)
+        mod = extended_modularity(theta_mask(u, self.hyper.theta), self.graph)
+        return SampleRecord(sweep_index, assign_ids, ids, sizes, beta, mod,
+                            self.graph.nodes, self.hyper.theta)
 
 
 def _dirichlet_row(rng: np.random.Generator, shape: np.ndarray) -> np.ndarray:
@@ -450,7 +459,7 @@ def sweep_records(g: SnapshotGraph, prev: PrevSummary | None, hyper: HyperParams
     alloc = alloc if alloc is not None else CommunityIdAllocator()
     if g.m == 0:
         yield SampleRecord(0, np.empty(0, dtype=np.int64), (), np.empty(0, dtype=np.int64),
-                           np.zeros((0, g.n)), Cover(), 0.0)
+                           np.zeros((0, g.n)), 0.0, g.nodes, hyper.theta)
         return
     if prev is None:
         labels = init_assignments_first(g, hyper, rng, alloc)
@@ -475,12 +484,12 @@ def run_snapshot(g: SnapshotGraph, prev: PrevSummary | None, hyper: HyperParams,
 
 @dataclass
 class SnapshotResult:
-    """Selected outcome for one snapshot of a detection run."""
+    """The winning sweep of one snapshot: its cover, modularity and chain."""
 
     t: int
     graph: SnapshotGraph
     cover: Cover
-    record: SampleRecord
+    modularity: float
     chain: int
 
 
@@ -549,12 +558,10 @@ def _detect(net: DynamicNetwork, hyper: HyperParams, root: int, chains: int,
     results: list[SnapshotResult] = []
     for pos, g in enumerate(net):
         fit = partial(_fit_chain, g, prev, hyper, root, pos, high)
-        best: tuple[Cover, SampleRecord, int, int] | None = None
-        for c, (cover, rec, chain_high) in enumerate(map_chains(fit, range(chains))):
-            if best is None or rec.modularity > best[1].modularity:
-                best = (cover, rec, c, chain_high)
-        cover, rec, c, high = best
-        results.append(SnapshotResult(g.t, g, cover, rec, c))
+        # the first best fit wins, so a tie keeps the lowest chain
+        c, (rec, high) = max(enumerate(map_chains(fit, range(chains))),
+                             key=lambda f: f[1][0].modularity)
+        results.append(SnapshotResult(g.t, g, rec.cover, rec.modularity, c))
         if g.m:
             prev = PrevSummary.from_record(rec, g)
     return results
@@ -572,16 +579,13 @@ def _fit_shared(pool, workers: int, fit, chains: range) -> list:
 
 def _fit_chain(g: SnapshotGraph, prev: PrevSummary | None, hyper: HyperParams,
                root: int, pos: int, high: int,
-               chain: int) -> tuple[Cover, SampleRecord, int]:
+               chain: int) -> tuple[SampleRecord, int]:
     """Fit chain ``chain`` of snapshot ``pos`` with fresh ids from ``high``
-    on; return its best sweep's cover and record and the chain's id
-    high-water mark.  Runs in a worker process for the chains a pool fits,
-    so only the winning sweep travels back."""
+    on; return its best sweep's record, without a cover, and the chain's id
+    high-water mark.  Runs in a worker process for the chains a pool fits."""
     alloc = CommunityIdAllocator(high)
-    rng = np.random.default_rng([root, pos, chain])
-    records = run_snapshot(g, prev, hyper, rng, alloc=alloc)
-    cover, rec = select_best([(r, r.cover) for r in records])
-    return cover, rec, alloc.high_water
+    (record,) = run_snapshot(g, prev, hyper, np.random.default_rng([root, pos, chain]), alloc)
+    return record, alloc.high_water
 
 
 def _usable_cpus() -> int:

@@ -10,7 +10,7 @@ PUBLIC_API = [
     "GenError", "GenSchedule", "GraphFormatError", "GroundTruth",
     "HyperParams", "MetricReport", "MetricRow", "PrevSummary",
     "SampleRecord", "SamplerState", "SnapshotGraph", "SnapshotResult",
-    "SoftMembership", "__version__", "apply_events",
+    "__version__", "apply_events",
     "collapsed_partition_score", "crp_log_prob", "detect_dynamic",
     "extended_modularity", "extract_cover", "generate_dynamic",
     "generate_snapshot", "gibbs_sweep", "init_assignments_carry",

@@ -433,6 +433,16 @@ def test_evaluate_snapshot_mismatch_is_an_error(bench_dir, tmp_path, capsys):
     assert "snapshot mismatch" in capsys.readouterr().err
 
 
+def test_evaluate_bad_cover_token_is_an_error_naming_the_line(bench_dir, tmp_path, capsys):
+    covers = tmp_path / "covers.txt"
+    covers.write_text("1 0 0 0.5\n1 0 x 0.5\n")
+    out = tmp_path / "ev"
+    assert run_cli("evaluate", str(covers), "--truth", str(bench_dir / "truth.txt"),
+                   "--network", str(bench_dir / "network.txt"), "--out", str(out)) == 1
+    assert "%s line 2: " % covers in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nmi_universe_includes_truth_nodes_absent_from_the_snapshot(tmp_path):
     # node 5 leaves the network at t=2 but the truth cover still names it
     net = tmp_path / "net.txt"

@@ -7,29 +7,27 @@ from hypothesis import strategies as st
 
 from dyncomm.membership import (
     Cover,
-    SoftMembership,
     extract_cover,
     load_covers,
     save_covers,
     select_best,
     soft_membership_from_arrays,
+    theta_mask,
 )
 
 Rec = namedtuple("Rec", "modularity sweep_index")
 
 
 def test_soft_membership_direct_product():
-    u = soft_membership_from_arrays([0, 1], [3], np.array([5]),
-                                    np.array([[0.4, 0.6]]), m=10)
-    # one row, community 3; columns are nodes 0 and 1
-    assert u.u[0, 0] == pytest.approx(0.2)
-    assert u.u[0, 1] == pytest.approx(0.3)
+    u = soft_membership_from_arrays(np.array([5]), np.array([[0.4, 0.6]]), m=10)
+    # one row, one community; columns are nodes 0 and 1
+    assert u[0, 0] == pytest.approx(0.2)
+    assert u[0, 1] == pytest.approx(0.3)
 
 
 def test_soft_membership_zero_beta_gives_zero():
-    u = soft_membership_from_arrays([0, 1], [0], np.array([4]),
-                                    np.array([[0.0, 1.0]]), m=4)
-    assert u.u[0, 0] == 0.0  # community 0, node 0
+    u = soft_membership_from_arrays(np.array([4]), np.array([[0.0, 1.0]]), m=4)
+    assert u[0, 0] == 0.0  # community 0, node 0
 
 
 def test_soft_membership_rows_sum_to_size_share():
@@ -39,41 +37,40 @@ def test_soft_membership_rows_sum_to_size_share():
         sizes = {r: int(c) for r, c in enumerate(rng.integers(1, 9, size=3))}
         m = sum(sizes.values())
         beta = np.stack([rng.dirichlet(np.ones(n)) for _ in sizes])
-        u = soft_membership_from_arrays(range(n), list(sizes), np.array(list(sizes.values())),
-                                        beta, m)
-        for a, r in enumerate(u.ids):
-            assert u.u[a].sum() == pytest.approx(sizes[r] / m)
+        u = soft_membership_from_arrays(np.array(list(sizes.values())), beta, m)
+        for a, r in enumerate(sizes):
+            assert u[a].sum() == pytest.approx(sizes[r] / m)
 
 
 def test_soft_membership_empty_when_no_edges():
-    u = soft_membership_from_arrays([0, 1], (), np.empty(0), np.empty((0, 2)), m=0)
-    assert u.ids == ()
-    assert extract_cover(u, 0.7).communities == {}
+    u = soft_membership_from_arrays(np.empty(0), np.empty((0, 2)), m=0)
+    assert u.shape == (0, 2)
+    assert extract_cover(u, (), [0, 1], 0.7).communities == {}
 
 
 def test_extract_cover_theta_rule():
-    u = SoftMembership([7], [0, 1, 2], np.array([[0.2], [0.15], [0.01]]))
-    cover = extract_cover(u, theta=0.7)
+    u = np.array([[0.2], [0.15], [0.01]])
+    cover = extract_cover(u, [0, 1, 2], [7], theta=0.7)
     assert cover.communities == {0: {7}, 1: {7}}
     assert cover.weights[(7, 0)] == pytest.approx(0.2)
 
 
 def test_extract_cover_theta_one_keeps_exact_ties():
-    u = SoftMembership([7], [0, 1, 2], np.array([[0.2], [0.2], [0.1]]))
-    cover = extract_cover(u, theta=1.0)
+    u = np.array([[0.2], [0.2], [0.1]])
+    cover = extract_cover(u, [0, 1, 2], [7], theta=1.0)
     assert cover.communities == {0: {7}, 1: {7}}
 
 
 def test_extract_cover_all_zero_node_belongs_nowhere():
-    u = SoftMembership([7, 8], [0], np.array([[0.5, 0.0]]))
-    cover = extract_cover(u, theta=0.7)
+    u = np.array([[0.5, 0.0]])
+    cover = extract_cover(u, [0], [7, 8], theta=0.7)
     assert cover.communities == {0: {7}}
     assert 8 not in cover.covered_nodes()
 
 
 def test_extract_cover_drops_empty_communities():
-    u = SoftMembership([7], [0, 1], np.array([[0.9], [0.01]]))
-    cover = extract_cover(u, theta=0.5)
+    u = np.array([[0.9], [0.01]])
+    cover = extract_cover(u, [0, 1], [7], theta=0.5)
     assert set(cover.communities) == {0}
 
 
@@ -81,26 +78,43 @@ def test_extract_cover_scale_invariance():
     rng = np.random.default_rng(8)
     for trial in range(20):
         raw = rng.random((4, 6))
-        u1 = SoftMembership(range(6), range(4), raw)
         scale = rng.uniform(0.5, 3.0, size=6)
-        u2 = SoftMembership(range(6), range(4), raw * scale)
-        assert extract_cover(u1, 0.7).communities == extract_cover(u2, 0.7).communities
+        assert extract_cover(raw, range(4), range(6), 0.7).communities == \
+            extract_cover(raw * scale, range(4), range(6), 0.7).communities
 
 
 def test_extract_cover_monotone_in_theta():
     rng = np.random.default_rng(13)
     raw = rng.random((5, 10))
-    u = SoftMembership(range(10), range(5), raw)
-    loose = extract_cover(u, 0.3)
-    tight = extract_cover(u, 0.9)
+    loose = extract_cover(raw, range(5), range(10), 0.3)
+    tight = extract_cover(raw, range(5), range(10), 0.9)
     for r, members in tight.communities.items():
         assert members <= loose.communities.get(r, set())
 
 
 def test_extract_cover_rejects_bad_theta():
-    u = SoftMembership([0], [0], np.array([[1.0]]))
     with pytest.raises(ValueError):
-        extract_cover(u, 0.0)
+        extract_cover(np.array([[1.0]]), [0], [0], 0.0)
+    with pytest.raises(ValueError, match="theta"):
+        theta_mask(np.empty((0, 3)), 1.5)
+
+
+def test_extract_cover_rejects_a_misshapen_u():
+    with pytest.raises(ValueError, match="shape"):
+        extract_cover(np.ones((2, 3)), [0], [0, 1, 2], 0.5)
+
+
+def test_extract_cover_keeps_what_theta_mask_keeps():
+    rng = np.random.default_rng(21)
+    u = rng.random((6, 9)) * (rng.random((6, 9)) < 0.7)
+    ids, nodes = [4, 0, 9, 2, 7, 1], list(range(100, 109))
+    cover = extract_cover(u, ids, nodes, 0.6)
+    kept = {(nodes[b], ids[a]) for a, b in zip(*np.nonzero(theta_mask(u, 0.6)))}
+    assert set(cover.weights) == kept
+    assert {(i, r) for r, members in cover.communities.items() for i in members} == kept
+    assert all(cover.communities.values())
+    for (i, r), w in cover.weights.items():
+        assert w == u[ids.index(r), nodes.index(i)]
 
 
 def test_select_best_argmax():
@@ -176,6 +190,15 @@ def test_cover_file_rejects_short_line(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("1 2 3\n")
     with pytest.raises(ValueError, match="line 1"):
+        load_covers(p)
+
+
+@pytest.mark.parametrize("bad", ["1 x 3 0.5", "1.5 2 3 0.5", "1 2 3 heavy",
+                                 "1 2 3 0.5 9", "1 2 3 nan", "1 2 3 inf", "1 2 3 -inf"])
+def test_cover_file_bad_line_names_file_and_line(tmp_path, bad):
+    p = tmp_path / "bad.txt"
+    p.write_text("1 2 4 0.5\n%s\n" % bad)
+    with pytest.raises(ValueError, match="bad.txt line 2: .*%s" % bad):
         load_covers(p)
 
 

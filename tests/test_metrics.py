@@ -172,6 +172,30 @@ def test_modularity_matches_the_dense_form_bit_for_bit(case):
     assert extended_modularity(cover, g) == extended_modularity_dense(cover, g)
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=overlapping_cases(), data=st.data())
+def test_modularity_of_a_membership_array_matches_its_cover(case, data):
+    # a sampler scores a sweep from its mask: rows in any order, empty
+    # communities as all-zero rows
+    g, cover = case
+    rows = [np.isin(g.nodes, sorted(members)) for members in cover.communities.values()]
+    rows += [np.zeros(g.n, dtype=bool)] * data.draw(st.integers(0, 3))
+    order = data.draw(st.permutations(range(len(rows))))
+    mask = np.array([rows[a] for a in order], dtype=bool).reshape(len(rows), g.n)
+    got = extended_modularity(mask, g)
+    assert got == extended_modularity(cover, g)
+    assert got == extended_modularity_dense(cover, g)
+    assert extended_modularity(mask.astype(np.float64), g) == got
+
+
+def test_modularity_rejects_a_bad_membership_array():
+    g = SnapshotGraph(range(4), [(0, 1), (2, 3)])
+    for bad in (np.ones((2, 3), dtype=bool), np.ones(4, dtype=bool),
+                np.full((1, 4), 0.5)):
+        with pytest.raises(ValueError, match="0/1 array"):
+            extended_modularity(bad, g)
+
+
 def test_modularity_matches_the_dense_form_on_large_covers():
     # the sizes of a detect's early sweeps: thousands of edges, K near 100,
     # and nodes in up to a dozen communities

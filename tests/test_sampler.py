@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dyncomm import sampler
 from dyncomm.graphs import DynamicNetwork, GraphFormatError, SnapshotGraph
-from dyncomm.membership import Cover, select_best
+from dyncomm.membership import Cover, extract_cover, select_best
 from dyncomm.metrics import overlapping_nmi
 from dyncomm.model import CommunityStats, HyperParams, collapsed_partition_score
 from dyncomm.sampler import (
@@ -604,7 +604,7 @@ def test_detect_dynamic_shape_and_determinism():
     assert [r.t for r in r1] == [1, 2, 3]
     for a, b in zip(r1, r2):
         assert a.cover.communities == b.cover.communities
-        assert a.record.modularity == b.record.modularity
+        assert a.modularity == b.modularity
         assert a.chain == 0
 
 
@@ -630,7 +630,7 @@ def test_detect_dynamic_multiple_chains_pick_best():
     h = HyperParams(s_first=8)
     single = detect_dynamic(net, h, seed=7, chains=1)
     multi = detect_dynamic(net, h, seed=7, chains=3)
-    assert multi[0].record.modularity >= single[0].record.modularity
+    assert multi[0].modularity >= single[0].modularity
     assert multi[0].chain in (0, 1, 2)
 
 
@@ -661,7 +661,7 @@ def test_detect_dynamic_same_result_for_any_worker_count(monkeypatch):
     for cpus in (2, 3):
         for a, b in zip(runs[1], runs[cpus]):
             assert a.cover.communities == b.cover.communities
-            assert a.record.modularity == b.record.modularity
+            assert a.modularity == b.modularity
             assert a.chain == b.chain
     assert children_gone()
 
@@ -678,7 +678,23 @@ def test_winning_chain_ids_do_not_depend_on_other_chains(monkeypatch):
                            alloc=CommunityIdAllocator())
     cover, record = select_best([(r, r.cover) for r in records])
     assert first.cover.communities == cover.communities
-    assert first.record.sweep_index == record.sweep_index
+    assert first.modularity == record.modularity
+
+
+def test_detect_builds_one_cover_per_snapshot(monkeypatch):
+    # every sweep is scored from its membership mask; only each snapshot's
+    # winner becomes a Cover
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return extract_cover(*args)
+
+    monkeypatch.setattr(sampler, "extract_cover", counted)
+    results = detect_dynamic(three_snapshots(32), HyperParams(s_first=10, s_later=6),
+                             seed=1, chains=2)
+    assert len(calls) == len(results) == 3
 
 
 class FailsInWorkers(SnapshotGraph):
