@@ -13,15 +13,26 @@ size, as a float), and one column of the nodes-by-rows beta array, so that
 one node's betas over all rows are contiguous.  Rows are recycled through
 a free list while community ids stay monotone and are never reused.
 
-``gibbs_sweep`` is the only code that seats edges: one loop over the
-shuffled edges.  A seating draw reads the arrays directly: the weights of
-every row below the high-water mark are ``seats * beta_i * beta_j``, and
-a free row has seat count 0, so it weighs 0 and the running sum can never
-stop on it.  The running sum is taken in place, and its last entry plus
-the new-community weight is the total the draw is scaled by.  The seating
-and the seat counts are Python lists for the length of the sweep; moving
-an edge writes its list entries and writes the seat count through to the
-array the weights read.  The per-node endpoint counts and the current
+``gibbs_sweep`` is the only code that seats edges.  It draws each edge
+from its exact Gibbs conditional, ``seats * beta_i * beta_j`` for every row
+below the high-water mark plus the new-community weight, by rejection
+from an envelope.  It visits the shuffled edges in blocks of at most
+``_BLOCK`` (48), and at a block's start one vectorised pass draws every
+edge's proposal from the weights ``env * beta_i * beta_j`` and the
+new-community weight, where ``env`` is ``seats + _SLACK`` (``_SLACK`` = 1)
+on a live row and 0 on a free one.  An edge accepts a proposed row r with
+probability ``seats_r / env_r`` and a new community outright; otherwise
+it makes the exact draw over the current seat counts.  A block ends as
+soon as a seating lifts a row above its envelope or a table opens, so
+``env_r >= seats_r`` at every visit.  With ``w_r = beta_i * beta_j`` and
+Z~ and Z the totals of the envelope and the conditional, a row is then
+proposed and accepted with probability ``seats_r w_r / Z~``, and the exact
+draw, made with probability ``1 - Z / Z~``, supplies the rest of the
+conditional ``seats_r w_r / Z``.  A free row has seat count 0, so it
+weighs 0 in both draws and no running sum can stop on it.  The seating
+is a Python list for the length of the sweep, and the seat counts are
+read and written one at a time through a memoryview of the array the
+vectorised draws read.  The per-node endpoint counts and the current
 sizes are recounted from the seating with ``np.bincount`` where they are
 read: the maximum-likelihood start, and the beta redraw once per sweep.
 
@@ -147,7 +158,6 @@ class SamplerState:
         self.alloc = alloc if alloc is not None else CommunityIdAllocator()
         self.n_nodes = graph.n
         self.m = graph.m
-        self._ends = graph.edge_array.tolist()
         self._prior_shape = np.full(self.n_nodes, hyper.gamma)
         # a brand-new community weighs alpha * gamma^2 / (gamma0 * (gamma0 + 1)),
         # the closed form of the Dirichlet-marginal edge probability
@@ -393,59 +403,109 @@ def _match_pairs(old: np.ndarray, ends: np.ndarray) -> np.ndarray:
 # -------------------------------------------------------------- sweep driver
 
 
-def gibbs_sweep(state: SamplerState) -> SamplerState:
-    """One full pass: every edge reseated in shuffled order, then betas
-    redrawn.  Mutates and returns the state.
+# the edge pass draws the proposals of up to _BLOCK edges at a time, from
+# an envelope that gives every live row _SLACK seats more than it holds.
+# A wider slack ends fewer blocks but sends more visits to the exact draw:
+# about slack + 1 per live row and sweep, whatever the edge count.  Beside
+# the beta redraw, that fixed cost would keep a sweep's time from growing
+# in step with the edge count, so the slack is 1 seat.
+_BLOCK = 48
+_SLACK = 1.0
 
-    Per edge: take it out of its row (releasing the row when its seat count
-    reaches 0), weigh every row below the high-water mark with
-    ``seats * beta_i * beta_j``, take the running sum of those weights in
-    place, and draw the row where the running sum first exceeds
-    ``u * (sum + new_w)``; past the last row, open a new community.  Then
-    seat the edge in the row drawn.
+
+def gibbs_sweep(state: SamplerState) -> SamplerState:
+    """One full pass: every edge reseated in shuffled order from its exact
+    Gibbs conditional, then betas redrawn.  Mutates and returns the state.
+
+    For a removed edge (i, j) the conditional weighs row r by
+    ``s_r * w_r``, with seat count ``s_r`` and ``w_r = beta_ir * beta_jr``,
+    and a new community by ``new_w``; Z is the sum of these weights.  The
+    edges are visited in blocks of at most ``_BLOCK`` (48).  At a block's
+    start one vectorised pass takes ``w_r`` for each of its edges over the
+    rows below the high-water mark, weights it by the envelope ``env_r``
+    (``s_r + _SLACK``, that is ``s_r + 1``, on a live row and 0 on a free
+    one), and draws each edge's proposal by inverse CDF from the running
+    sums plus ``new_w``, whose total is Z~; the acceptance uniforms come
+    in the same call.  Per edge: take it out of its row (releasing the row
+    when its seat count reaches 0), accept a proposed row r when
+    ``u * env_r < s_r``, accept a new community outright, since it weighs
+    ``new_w`` in both draws, and otherwise make the exact draw: the
+    running sum of the current ``s_r * w_r``, and the row where it first
+    exceeds ``u * (sum + new_w)``; past the last row, or when that total
+    is not finite and positive, a new community.  A block ends right after
+    a seating lifts a row above its envelope, right after a community
+    opens, and right after an edge whose envelope total is not finite and
+    positive, which takes the exact draw.
+
+    So at every visit ``env_r >= s_r``, and a row is proposed and accepted
+    with probability ``s_r w_r / Z~``.  The exact draw, made with the
+    remaining probability ``1 - Z / Z~``, adds ``(1 - Z / Z~) s_r w_r / Z``:
+    in all ``s_r w_r / Z``, the exact conditional, and likewise
+    ``new_w / Z`` for a new community.
     """
     unseated = np.flatnonzero(state._assign_row < 0)
     if len(unseated):
         raise ValueError("edge %r is not currently assigned"
                          % (state.graph.edges[unseated[0]],))
-    rng = state.rng
-    order = rng.permutation(state.m).tolist()
-    random, ends, new_w = rng.random, state._ends, state._new_w
+    rng, m = state.rng, state.m
+    order = rng.permutation(m)
+    visits, pairs = order.tolist(), state.graph.edge_array[order]
+    random, new_w = rng.random, state._new_w
     multiply, accumulate = np.multiply, np.add.accumulate
     assign = state._assign_row.tolist()
-    counts = state._seats.tolist()
+    # the seat counts are read and written one at a time through a
+    # memoryview, and as a whole by the draws through the array it views
     seats, high = state._seats, state._high
-    seats_h, beta_h = seats[:high], list(state._beta[:, :high])
+    counts, seats_h, beta_h = memoryview(seats), seats[:high], state._beta[:, :high]
     w = np.empty(high)
-    for a in order:
-        row = assign[a]
-        c = counts[row] - 1.0
-        counts[row] = seats[row] = c
-        if c == 0.0:
-            state._release_row(row)
-        i, j = ends[a]
-        multiply(seats_h, beta_h[i], out=w)
-        multiply(w, beta_h[j], out=w)
-        accumulate(w, out=w)
-        total = w.item(-1) + new_w
-        if 0.0 < total < math.inf:
-            # a free row adds 0 to the running sum, so the first position
-            # whose sum exceeds the draw is always a live row
-            row = int(w.searchsorted(random() * total, side="right"))
-        else:
-            row = high
-        if row >= high:
-            # through the instance, so that a wrapper on the class sees it
-            row = state._row_of[state._create_community()]
-            if state._high != high:
-                # a new row, and perhaps new arrays after _grow
-                seats, high = state._seats, state._high
-                counts.extend([0.0] * (len(seats) - len(counts)))
-                seats_h, beta_h = seats[:high], list(state._beta[:, :high])
-                w = np.empty(high)
-        assign[a] = row
-        c = counts[row] + 1.0
-        counts[row] = seats[row] = c
+    start = 0
+    while start < m:
+        stop = min(start + _BLOCK, m)
+        env = np.where(seats_h > 0.0, seats_h + _SLACK, 0.0)
+        prod = beta_h[pairs[start:stop, 0]]
+        prod *= beta_h[pairs[start:stop, 1]]
+        cum = prod * env
+        accumulate(cum, axis=1, out=cum)
+        totals = cum[:, -1] + new_w
+        u = random((2, stop - start))
+        # the proposal is the number of running sums at or below u * total:
+        # a row, or ``high`` for a new community; -1 takes the exact draw
+        pick = np.count_nonzero(cum <= (u[0] * totals)[:, None], axis=1)
+        pick[~((totals > 0.0) & (totals < math.inf))] = -1
+        env = env.tolist()
+        for k, (a, r, v) in enumerate(zip(visits[start:stop], pick.tolist(), u[1].tolist())):
+            row = assign[a]
+            c = counts[row] - 1.0
+            counts[row] = c
+            if c == 0.0:
+                state._release_row(row)
+            if r == high or 0 <= r < high and v * env[r] < counts[r]:
+                row = r
+            else:
+                multiply(prod[k], seats_h, out=w)
+                accumulate(w, out=w)
+                total = w.item(-1) + new_w
+                if 0.0 < total < math.inf:
+                    # a free row adds 0 to the running sum, so the first
+                    # position whose sum exceeds the draw is a live row
+                    row = int(w.searchsorted(random() * total, side="right"))
+                else:
+                    row = high
+            opened = row >= high
+            if opened:
+                # through the instance, so that a wrapper on the class sees it
+                row = state._row_of[state._create_community()]
+                if state._high != high:
+                    # a new row, and perhaps new arrays after _grow
+                    seats, high = state._seats, state._high
+                    counts, seats_h, beta_h = memoryview(seats), seats[:high], state._beta[:, :high]
+                    w = np.empty(high)
+            assign[a] = row
+            c = counts[row] + 1.0
+            counts[row] = c
+            if opened or r < 0 or c > env[row]:
+                break
+        start += k + 1
     state._assign_row = np.array(assign, dtype=np.int64)
     state.resample_beta()
     return state

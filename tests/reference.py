@@ -1,20 +1,24 @@
 """Per-edge reference kernels of the seating rule, used only by the tests.
 
-The sampler's ``gibbs_sweep`` weighs every community at once, for one edge
-after another, in a single loop.  These are the same formulas written out
-one edge and one community at a time, keyed by community id, so a test can
-check the engine against a form that shares none of its code:
+The sampler's ``gibbs_sweep`` draws the proposals of a block of up to 48
+edges at once from an envelope of every community's weight, ``seats + 1``
+in place of ``seats``, and accepts each by rejection or falls back to the
+exact draw.  These are the exact formulas written out one edge and one
+community at a time, keyed by community id, so a test can check the engine
+against a form that shares none of its code:
 
     weight of community r = (n_r + n_r^prev) * beta_ir * beta_jr
     weight of a new one   = alpha * gamma_i * gamma_j / (gamma_0 * (gamma_0 + 1))
 
 The functions from ``edge_index`` to ``edge_weights`` act on a
-``SamplerState`` itself, one edge at a time: they take an edge out of its row, weigh the rows for it,
-draw its community and seat it again, with the seating rule that
-``gibbs_sweep`` fuses into one loop over the edges.  Only the tests need
-them.  ``edge_key`` gives an edge's canonical form, and ``validate``
-lists every way a ``SnapshotGraph`` breaks the invariants that
-``load_dynamic`` and the generator must keep, edge by edge.
+``SamplerState`` itself, one edge at a time: they take an edge out of its
+row, weigh the rows for it, draw its community from the exact conditional
+and seat it again.  ``per_visit_sweep`` is a sweep of those draws, the
+edge pass before the envelope: its chain has the law of ``gibbs_sweep``'s.
+Only the tests need them.  ``edge_key`` gives an edge's canonical form,
+and ``validate`` lists every way a ``SnapshotGraph`` breaks the
+invariants that ``load_dynamic`` and the generator must keep, edge by
+edge.
 
 The last two are earlier forms of production code, kept as oracles:
 ``init_assignments_carry_dict`` carries a seating over through a dict
@@ -127,14 +131,14 @@ def seat_weights(state, a: int) -> np.ndarray:
     edge index ``a``: (current + carried size) times the edge likelihood.  A
     free row has seat count 0, so it weighs 0."""
     high = state._high
-    i, j = state._ends[a]
+    i, j = state.graph.edge_array[a]
     return state._seats[:high] * state._beta[i, :high] * state._beta[j, :high]
 
 
 def draw_for_edge(state, a: int) -> int:
-    """Draw a community id for removed edge index ``a`` the way
-    ``gibbs_sweep`` does; choosing a brand-new community opens one, with a
-    fresh id and a prior beta draw."""
+    """Draw a community id for removed edge index ``a`` from its exact
+    conditional, with one ``rng.random()``; choosing a brand-new community
+    opens one, with a fresh id and a prior beta draw."""
     w = np.cumsum(seat_weights(state, a))
     total = float(w[-1]) + state._new_w
     if not 0.0 < total < math.inf:
@@ -143,6 +147,18 @@ def draw_for_edge(state, a: int) -> int:
     if row >= len(w):
         return state._create_community()
     return int(state._ids[row])
+
+
+def per_visit_sweep(state) -> None:
+    """One sweep that makes the exact seating draw at every edge visit: the
+    edge pass ``gibbs_sweep`` made before it drew its proposals per block,
+    with one ``rng.random()`` per visit.  Its chain has the same law as
+    ``gibbs_sweep``'s, through a different random stream."""
+    rng = state.rng
+    for a in rng.permutation(state.m).tolist():
+        remove_idx(state, a)
+        add_idx(state, a, draw_for_edge(state, a))
+    state.resample_beta()
 
 
 def remove_edge(state, e) -> None:

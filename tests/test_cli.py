@@ -238,9 +238,9 @@ def test_generate_and_detect_bytes_are_pinned(tmp_path):
         gen / "truth.txt":
             "d79e00448fa24ae461ff0a46d68b44f09acdff2f1692b5734edb484bf60dfe39",
         det / "covers.txt":
-            "579ca91be79c36305b25c86ca29ff6e9bb2c15dab50c4ee0f540c2ee04071e5a",
+            "d8050b26883daff9cf1b7dd388c6e86393a2bbfa521b480e6f07c077355c458e",
         det / "metrics.csv":
-            "e4ce264efffa1cbe5ef9de9ab28b6df7698c919b173713e92a305a3889963d9e",
+            "fba6bccbd6d0be96ae8907455436e0c60e038dea49fec1ee592684175208730d",
     }
     for path, digest in pinned.items():
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
