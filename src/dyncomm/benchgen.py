@@ -65,7 +65,8 @@ class Event:
 
     ``community`` (and ``other`` for merge) name targets by id; None means
     the generator picks uniformly among live communities.  ``size`` is the
-    born community's member count, or q for expand/contract.
+    born community's member count, or q for expand/contract; when given it
+    is at least 1.
     """
 
     t: int
@@ -79,6 +80,8 @@ class Event:
             raise GenError("unknown event kind %r" % (self.kind,))
         if self.t < 2:
             raise GenError("events start at snapshot 2, got t=%d" % self.t)
+        if self.size is not None and self.size < 1:
+            raise GenError("event size must be >= 1, got %d" % self.size)
 
 
 @dataclass(frozen=True)
@@ -196,9 +199,10 @@ def _churn_step(state: _Memberships, cfg: GenConfig, rng: np.random.Generator) -
 def _move_node_into(state: _Memberships, cid: int, rng: np.random.Generator,
                     exclude: set[int]) -> bool:
     """Move one random eligible node into cid, dropping one old membership."""
-    candidates = sorted(i for i in state.of_node
-                        if i not in exclude and cid not in state.of_node[i]
-                        and state.droppable(i))
+    # a node has a droppable membership iff it shares one with this set
+    big = {c for c, members in state.communities.items() if len(members) >= 2}
+    candidates = sorted(i for i, cs in state.of_node.items()
+                        if i not in exclude and cid not in cs and not cs.isdisjoint(big))
     if not candidates:
         return False
     node = _pick(rng, candidates)
@@ -308,6 +312,12 @@ def apply_events(truth: GroundTruth, sched: GenSchedule, cfg: GenConfig,
 # ---------------------------------------------------------------- edge sampling
 
 
+# fewest attempts a rejection round draws: a pool a few edges short of its
+# budget rejects most attempts, and one call per edge would cost more than
+# the attempts it checks
+_ROUND = 256
+
+
 def _apportion(total: int, sizes: list[int]) -> list[int]:
     # Proportional to community size (largest remainder), so every member
     # sees the same expected within-community degree.  Small communities
@@ -356,69 +366,89 @@ def generate_snapshot(cover: Cover, cfg: GenConfig, rng: np.random.Generator,
     both have room; what a community still cannot place goes to the
     background budget, and only a background that cannot be placed either
     is an error.
+
+    Each rejection attempt draws its two endpoints from the pool, and the
+    attempts are drawn a round at a time in one ``rng.integers`` call.  A
+    batched call yields the values of as many scalar calls and leaves the
+    generator in the same state, so the edges and the stream are those of
+    drawing attempt by attempt.  A round draws one attempt per missing
+    edge, at least ``_ROUND`` and never past the attempt limit.  Each
+    attempt places at most one edge, so only a round padded up to
+    ``_ROUND`` can fill the pool before its end; then the state saved
+    before the round is restored and only the attempts that ran are drawn
+    again.  Exact placement keeps its candidate pairs in order in a list,
+    pops each pick, and drops the pairs that lost room only when a seated
+    endpoint reaches the degree cap.
     """
     nodes = cover.covered_nodes()
     if nodes != set(range(cfg.n)):
         raise GenError("planted cover must assign every node a community")
-    total = round(cfg.n * cfg.avg_degree / 2)
+    n = cfg.n
+    total = round(n * cfg.avg_degree / 2)
     within_target = round((1.0 - cfg.mixing) * total)
     bg_target = total - within_target
     cids = sorted(c for c in cover.communities if cover.communities[c])
     member_lists = {c: sorted(cover.communities[c]) for c in cids}
     budgets = _apportion(within_target, [len(member_lists[c]) for c in cids])
-    cap = cfg.max_degree if cfg.max_degree is not None else cfg.n
-    deg = np.zeros(cfg.n, dtype=np.int64)
-    edges: set[tuple[int, int]] = set()
-
-    def seat(i: int, j: int) -> None:
-        edges.add((i, j) if i < j else (j, i))
-        deg[i] += 1
-        deg[j] += 1
+    cap = cfg.max_degree if cfg.max_degree is not None else n
+    deg = [0] * n
+    edges: set[int] = set()  # i * n + j for each edge i < j
 
     def place(pool: list[int], want: int) -> int:
         """Place ``want`` edges among the sorted ``pool``; return how many
         could not be placed."""
-        attempts = 0
+        members = np.asarray(pool, dtype=np.int64)
         limit = 200 * want + 200
-        placed = 0
+        attempts = placed = 0
         while placed < want and attempts < limit:
-            attempts += 1
-            i = pool[int(rng.integers(0, len(pool)))]
-            j = pool[int(rng.integers(0, len(pool)))]
-            if i == j:
-                continue
-            key = (i, j) if i < j else (j, i)
-            if key in edges or deg[i] >= cap or deg[j] >= cap:
-                continue
-            seat(i, j)
-            placed += 1
+            drawn = min(max(want - placed, _ROUND), limit - attempts)
+            saved = rng.bit_generator.state
+            ends = members[rng.integers(0, len(pool), size=2 * drawn)].tolist()
+            used = 0
+            for i, j in zip(ends[::2], ends[1::2]):
+                used += 1
+                if i == j or deg[i] >= cap or deg[j] >= cap:
+                    continue
+                key = i * n + j if i < j else j * n + i
+                if key in edges:
+                    continue
+                edges.add(key)
+                deg[i] += 1
+                deg[j] += 1
+                placed += 1
+                if placed == want:
+                    break
+            attempts += used
+            if used < drawn:
+                rng.bit_generator.state = saved
+                rng.integers(0, len(pool), size=2 * used)
         if placed == want:
             return 0
-        members = np.asarray(pool, dtype=np.int64)
         upper, lower = np.triu_indices(len(members), 1)
         i, j = members[upper], members[lower]
-        taken = np.fromiter((a * cfg.n + b for a, b in edges), dtype=np.int64, count=len(edges))
-        unused = ~np.isin(i * cfg.n + j, taken)
-        i, j = i[unused], j[unused]
-        while placed < want:
-            room = (deg[i] < cap) & (deg[j] < cap)
-            i, j = i[room], j[room]
-            if len(i) == 0:
-                break
-            k = int(rng.integers(0, len(i)))
-            seat(int(i[k]), int(j[k]))
-            i, j = np.delete(i, k), np.delete(j, k)
+        taken = np.fromiter(edges, dtype=np.int64, count=len(edges))
+        room = np.asarray(deg) < cap
+        keep = ~np.isin(i * n + j, taken) & room[i] & room[j]
+        pairs = list(zip(i[keep].tolist(), j[keep].tolist()))
+        while placed < want and pairs:
+            a, b = pairs.pop(int(rng.integers(0, len(pairs))))
+            edges.add(a * n + b)
+            deg[a] += 1
+            deg[b] += 1
             placed += 1
+            if deg[a] >= cap or deg[b] >= cap:
+                pairs = [(x, y) for x, y in pairs if deg[x] < cap and deg[y] < cap]
         return want - placed
 
     short = 0
     for c, m_c in zip(cids, budgets):
         short += place(member_lists[c], m_c)
-    missing = place(list(range(cfg.n)), bg_target + short)
+    missing = place(list(range(n)), bg_target + short)
     if missing:
         raise GenError("degree target infeasible: placed %d of %d background edges"
                        % (bg_target + short - missing, bg_target + short))
-    return SnapshotGraph(range(cfg.n), sorted(edges), t=t)
+    keys = np.sort(np.fromiter(edges, dtype=np.int64, count=len(edges)))
+    return SnapshotGraph(range(n), np.column_stack((keys // n, keys % n)), t=t)
 
 
 def generate_dynamic(cfg: GenConfig,
@@ -442,7 +472,9 @@ def generate_dynamic(cfg: GenConfig,
 
 def load_schedule(path) -> GenSchedule:
     """Parse an event script: lines `t kind [community=N] [other=N] [size=N]`,
-    comments with `#`.  Merge also accepts a=/b= for its two targets."""
+    comments with `#`.  Merge also accepts a=/b= for its two targets, and
+    q= stands for size.  A key given twice on a line, under either of its
+    names, is an error."""
     events = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -466,6 +498,8 @@ def load_schedule(path) -> GenSchedule:
                 key, _, val = tok.partition("=")
                 if key not in alias:
                     raise GenError("line %d: unknown key %r" % (lineno, key))
+                if alias[key] in kwargs:
+                    raise GenError("line %d: key %r given twice" % (lineno, alias[key]))
                 try:
                     kwargs[alias[key]] = int(val)
                 except ValueError:

@@ -20,12 +20,16 @@ and ``validate`` lists every way a ``SnapshotGraph`` breaks the
 invariants that ``load_dynamic`` and the generator must keep, edge by
 edge.
 
-The last two are earlier forms of production code, kept as oracles:
+The last three are earlier forms of production code, kept as oracles:
 ``init_assignments_carry_dict`` carries a seating over through a dict
-keyed by endpoint pairs, where the sampler matches id arrays, and
+keyed by endpoint pairs, where the sampler matches id arrays,
 ``extended_modularity_dense`` takes the inside term of the modularity from
 two dense M x K gathers, where ``metrics`` visits only the (edge,
-community) pairs inside a community.
+community) pairs inside a community, and ``generate_snapshot_per_attempt``
+draws each rejection attempt's endpoints with two scalar calls and
+recomputes the exact-placement candidates after every edge, where
+``benchgen`` draws a round of attempts at once and filters its candidate
+list only when an endpoint fills up.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
+from dyncomm.benchgen import GenConfig, GenError, _apportion
 from dyncomm.graphs import GraphFormatError, SnapshotGraph
 from dyncomm.membership import Cover
 from dyncomm.metrics import _cover_matrix
@@ -250,3 +255,73 @@ def extended_modularity_dense(cover: Cover, g: SnapshotGraph) -> float:
     inside = 2.0 * np.einsum("ek,ek->k", w.T[ends[:, 0]], w.T[ends[:, 1]])
     terms = inside - (w * g.degree_array).sum(axis=1) ** 2 / two_m
     return math.fsum(terms) / two_m
+
+
+def generate_snapshot_per_attempt(cover: Cover, cfg: GenConfig, rng: np.random.Generator,
+                                  t: int = 1) -> SnapshotGraph:
+    """``benchgen.generate_snapshot`` drawing one rejection attempt at a time.
+
+    Each attempt takes two scalar ``rng.integers`` calls, and exact
+    placement refilters its candidate arrays and deletes the picked pair
+    for every edge it seats; the edges and the generator's final state must
+    equal the batched form's."""
+    nodes = cover.covered_nodes()
+    if nodes != set(range(cfg.n)):
+        raise GenError("planted cover must assign every node a community")
+    total = round(cfg.n * cfg.avg_degree / 2)
+    within_target = round((1.0 - cfg.mixing) * total)
+    bg_target = total - within_target
+    cids = sorted(c for c in cover.communities if cover.communities[c])
+    member_lists = {c: sorted(cover.communities[c]) for c in cids}
+    budgets = _apportion(within_target, [len(member_lists[c]) for c in cids])
+    cap = cfg.max_degree if cfg.max_degree is not None else cfg.n
+    deg = np.zeros(cfg.n, dtype=np.int64)
+    edges: set[tuple[int, int]] = set()
+
+    def seat(i: int, j: int) -> None:
+        edges.add((i, j) if i < j else (j, i))
+        deg[i] += 1
+        deg[j] += 1
+
+    def place(pool: list[int], want: int) -> int:
+        attempts = 0
+        limit = 200 * want + 200
+        placed = 0
+        while placed < want and attempts < limit:
+            attempts += 1
+            i = pool[int(rng.integers(0, len(pool)))]
+            j = pool[int(rng.integers(0, len(pool)))]
+            if i == j:
+                continue
+            key = (i, j) if i < j else (j, i)
+            if key in edges or deg[i] >= cap or deg[j] >= cap:
+                continue
+            seat(i, j)
+            placed += 1
+        if placed == want:
+            return 0
+        members = np.asarray(pool, dtype=np.int64)
+        upper, lower = np.triu_indices(len(members), 1)
+        i, j = members[upper], members[lower]
+        taken = np.fromiter((a * cfg.n + b for a, b in edges), dtype=np.int64, count=len(edges))
+        unused = ~np.isin(i * cfg.n + j, taken)
+        i, j = i[unused], j[unused]
+        while placed < want:
+            room = (deg[i] < cap) & (deg[j] < cap)
+            i, j = i[room], j[room]
+            if len(i) == 0:
+                break
+            k = int(rng.integers(0, len(i)))
+            seat(int(i[k]), int(j[k]))
+            i, j = np.delete(i, k), np.delete(j, k)
+            placed += 1
+        return want - placed
+
+    short = 0
+    for c, m_c in zip(cids, budgets):
+        short += place(member_lists[c], m_c)
+    missing = place(list(range(cfg.n)), bg_target + short)
+    if missing:
+        raise GenError("degree target infeasible: placed %d of %d background edges"
+                       % (bg_target + short - missing, bg_target + short))
+    return SnapshotGraph(range(cfg.n), sorted(edges), t=t)

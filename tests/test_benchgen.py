@@ -1,8 +1,12 @@
 """Benchmark generator: planting, events, churn, and edge sampling."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dyncomm.benchgen import (
     Event,
@@ -17,7 +21,7 @@ from dyncomm.benchgen import (
     preset,
 )
 from dyncomm.membership import Cover
-from reference import validate
+from reference import generate_snapshot_per_attempt, validate
 
 
 def membership_map(cover):
@@ -189,16 +193,109 @@ def test_snapshot_raises_when_the_background_cannot_take_the_shortfall():
         generate_snapshot(cover, cfg, np.random.default_rng(0))
 
 
+def assert_preset_generates(name, seed, m, max_degree):
+    net, _ = generate_dynamic(*preset(name, seed=seed))
+    for g in net:
+        assert g.m == m
+        assert validate(g) == []
+        assert int(g.degree_array.max()) <= max_degree
+
+
 # birthdeath-t2 seeds whose born communities ran out of rejection attempts
 # before their last edges were placed exactly
 @pytest.mark.parametrize("seed", [12, 40, 43, 53, 70, 74, 79, 82])
 def test_t2_preset_generates_when_rejection_runs_out(seed):
-    cfg, sched = preset("birthdeath-t2", seed=seed)
-    net, _ = generate_dynamic(cfg, sched)
+    assert_preset_generates("birthdeath-t2", seed, 7500, 50)
+
+
+# birthdeath-t1 places 20,000 edges per snapshot at max degree 60 over ten
+# snapshots, the largest preset
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_t1_preset_generates(seed):
+    assert_preset_generates("birthdeath-t1", seed, 20000, 60)
+
+
+def preset_digests(name, seed):
+    """sha256 of every snapshot's edge array and of the truth covers."""
+    net, truth = generate_dynamic(*preset(name, seed))
+    edges = hashlib.sha256()
     for g in net:
-        assert g.m == 7500
-        assert validate(g) == []
-        assert int(g.degree_array.max()) <= 50
+        edges.update(np.ascontiguousarray(g.edge_array, dtype=np.int64).tobytes())
+    covers = hashlib.sha256()
+    for cover in truth.covers:
+        for cid in sorted(cover.communities):
+            members = ",".join(map(str, sorted(cover.communities[cid])))
+            covers.update(("%d:%s;" % (cid, members)).encode())
+        covers.update(b"|")
+    return edges.hexdigest(), covers.hexdigest()
+
+
+# seed 1 places every edge by rejection; seed 12 runs a born community out
+# of attempts and places its last edges exactly
+@pytest.mark.parametrize("seed, edges, covers", [
+    (1, "f7ae820fb0620ab8d5e54ccf95d20de55aff2de30d9db6ba6a9edbf2b9cb1618",
+     "f5046815403517397f8954b3153782d1cb813f579227d50f7b89db6a5a5c79c6"),
+    (12, "59a8038af7e7c5f61f6c3570f9e13b8ca7789f08c38d0cc1b59b417333201d9f",
+     "e647cf01f6d47202cd4e10c52907c871ab042f16d800f45c8a25b1911d8413c6"),
+])
+def test_t2_preset_bytes_are_pinned(seed, edges, covers):
+    assert preset_digests("birthdeath-t2", seed) == (edges, covers)
+
+
+@st.composite
+def snapshot_cases(draw):
+    """A small overlapping cover of every node and a config for it."""
+    n = draw(st.integers(2, 20))
+    k = draw(st.integers(1, 4))
+    communities = {c: set(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+                   for c in range(k)}
+    for i in range(n):
+        if not any(i in members for members in communities.values()):
+            communities[draw(st.integers(0, k - 1))].add(i)
+    avg_degree = draw(st.integers(1, n - 1))
+    # a max degree equal to the average leaves every node at the cap, so
+    # the last edges are placed exactly among the few nodes with room
+    max_degree = draw(st.one_of(st.none(), st.integers(1, n), st.just(avg_degree)))
+    cfg = GenConfig(n=n, k=k, mixing=draw(st.sampled_from([0.0, 0.1, 0.5])),
+                    avg_degree=avg_degree, max_degree=max_degree,
+                    seed=draw(st.integers(0, 2**16)))
+    return Cover(communities), cfg
+
+
+def outcome(generate, cover, cfg):
+    rng = np.random.default_rng(cfg.seed)
+    try:
+        result = generate(cover, cfg, rng).edges
+    except GenError as exc:
+        result = str(exc)
+    return result, rng.bit_generator.state
+
+
+@given(case=snapshot_cases())
+# communities 0 and 1 share every pair, so 1 runs short and the background
+# takes the rest
+@example(case=(Cover({0: set(range(6)), 1: set(range(6)), 2: set(range(6, 30))}),
+               GenConfig(n=30, k=3, mixing=0.0, avg_degree=4, seed=0)))
+# nodes 0-9 sit in two communities and fill up at degree 5: community 1
+# falls back to exact placement and passes its shortfall to the background
+@example(case=(Cover({0: set(range(10)), 1: set(range(10)), 2: set(range(10, 40))}),
+               GenConfig(n=40, k=3, mixing=0.1, avg_degree=4, max_degree=5, seed=0)))
+# max degree 4 at average degree 4: the background runs out of attempts
+# with a few nodes one edge short, and each edge it places exactly fills
+# its endpoints, so the candidates must drop every pair they were in
+@example(case=(Cover({0: set(range(60))}),
+               GenConfig(n=60, k=1, mixing=0.05, avg_degree=4, max_degree=4, seed=1)))
+# infeasible: no background edge fits under max degree 1
+@example(case=(Cover({0: set(range(30))}),
+               GenConfig(n=30, k=1, mixing=0.0, avg_degree=4, max_degree=1, seed=0)))
+# rounds of more attempts than the shortest round
+@example(case=(Cover({0: set(range(60))}),
+               GenConfig(n=60, k=1, mixing=0.2, avg_degree=20, seed=0)))
+@settings(max_examples=100, deadline=None)
+def test_snapshot_matches_per_attempt_reference(case):
+    cover, cfg = case
+    assert (outcome(generate_snapshot, cover, cfg)
+            == outcome(generate_snapshot_per_attempt, cover, cfg))
 
 
 def test_snapshot_requires_full_cover():
@@ -327,6 +424,22 @@ def test_event_validation():
         Event(1, "birth")
 
 
+@pytest.mark.parametrize("kind", ["birth", "expand", "contract"])
+@pytest.mark.parametrize("size", [0, -2])
+def test_event_rejects_size_below_one(kind, size):
+    # a negative size once gave a birth that the k series counted but the
+    # cover never held, and size=0 meant the default
+    with pytest.raises(GenError, match="size must be >= 1"):
+        Event(2, kind, size=size)
+
+
+def test_load_schedule_reports_bad_size_with_line_number(tmp_path):
+    path = tmp_path / "events.txt"
+    path.write_text("2 birth\n3 expand q=-1\n")
+    with pytest.raises(GenError, match="line 2: event size"):
+        load_schedule(path)
+
+
 def test_churn_moves_the_requested_single_membership_count():
     cfg = GenConfig(n=500, k=10, overlap_nodes=20, memberships_per_overlap=3,
                     avg_degree=10, t=2, churn=0.1, seed=13)
@@ -399,6 +512,15 @@ def test_load_schedule_reports_line_numbers(tmp_path):
         load_schedule(path)
     path.write_text("2 birth shape=9\n")
     with pytest.raises(GenError, match="unknown key"):
+        load_schedule(path)
+
+
+@pytest.mark.parametrize("line", ["2 merge a=1 community=2", "3 birth size=3 size=9",
+                                  "4 expand q=2 size=3", "5 merge community=0 b=1 other=2"])
+def test_load_schedule_rejects_repeated_key(tmp_path, line):
+    path = tmp_path / "events.txt"
+    path.write_text("# header\n" + line + "\n")
+    with pytest.raises(GenError, match="line 2: key .* given twice"):
         load_schedule(path)
 
 
