@@ -17,7 +17,11 @@ import numpy as np
 from .graphs import DynamicNetwork, SnapshotGraph
 from .membership import Cover
 
-EVENT_KINDS = ("birth", "death", "expand", "contract", "merge", "split")
+# the keys each event kind reads; giving it any other key is an error
+EVENT_KEYS = {"birth": ("size",), "death": ("community",),
+              "expand": ("community", "size"), "contract": ("community", "size"),
+              "merge": ("community", "other"), "split": ("community",)}
+EVENT_KINDS = tuple(EVENT_KEYS)
 
 
 class GenError(ValueError):
@@ -66,7 +70,9 @@ class Event:
     ``community`` (and ``other`` for merge) name targets by id; None means
     the generator picks uniformly among live communities.  ``size`` is the
     born community's member count, or q for expand/contract; when given it
-    is at least 1.
+    is at least 1.  A kind takes only the keys it reads (``EVENT_KEYS``):
+    a birth names no community, only a merge names an ``other``, and a
+    death, merge or split takes no size.
     """
 
     t: int
@@ -80,6 +86,9 @@ class Event:
             raise GenError("unknown event kind %r" % (self.kind,))
         if self.t < 2:
             raise GenError("events start at snapshot 2, got t=%d" % self.t)
+        for key in ("community", "other", "size"):
+            if getattr(self, key) is not None and key not in EVENT_KEYS[self.kind]:
+                raise GenError("a %s event takes no %s" % (self.kind, key))
         if self.size is not None and self.size < 1:
             raise GenError("event size must be >= 1, got %d" % self.size)
 

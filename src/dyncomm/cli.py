@@ -66,7 +66,6 @@ class RunConfig:
     gen: GenConfig | None = None
     schedule: GenSchedule = GenSchedule()
     preset_name: str | None = None
-    aggregate: bool = False
 
 
 def _read_config(path) -> dict[str, str]:
@@ -162,8 +161,7 @@ def resolve_run_config(args) -> RunConfig:
                          truth=Path(args.truth) if args.truth else None,
                          **common)
     return RunConfig("evaluate", covers=tuple(Path(p) for p in args.covers),
-                     network=Path(args.network), truth=Path(args.truth),
-                     aggregate=args.aggregate, **common)
+                     network=Path(args.network), truth=Path(args.truth), **common)
 
 
 @contextmanager
@@ -252,19 +250,19 @@ def _evaluate_one(covers, truth, snaps) -> list[MetricRow]:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    """Score stored covers against a truth file on their network."""
+    """Score stored covers against a truth file on their network; several
+    cover files are scored one by one and their metrics averaged."""
     net = load_dynamic(cfg.network)
     snaps = {g.t: g for g in net.snapshots}
     truth = load_covers(cfg.truth)
     runs = [load_covers(p) for p in cfg.covers]
-    if len(runs) > 1 and not cfg.aggregate:
-        raise ValueError("multiple cover files need --aggregate")
     for path, covers in zip(cfg.covers, runs):
         if set(covers) != set(truth) or not set(covers) <= set(snaps):
             raise ValueError("snapshot mismatch between %s, truth, and network"
                              % path)
     per_run = [_evaluate_one(covers, truth, snaps) for covers in runs]
-    if cfg.aggregate:
+    aggregate = len(runs) > 1
+    if aggregate:
         rows = []
         for idx, t in enumerate(sorted(runs[0])):
             nmis = [run[idx].nmi for run in per_run]
@@ -280,7 +278,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             report.save(stage / "metrics.csv")
             _write_meta(cfg, {"network": cfg.network, "truth": cfg.truth,
                               "covers": " ".join(str(p) for p in cfg.covers),
-                              "aggregate": cfg.aggregate}, stage)
+                              "aggregate": aggregate}, stage)
     else:
         report.write_csv(sys.stdout)
         print("seed=%d covers=%d" % (cfg.seed, len(runs)), file=sys.stderr)
@@ -321,11 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("evaluate", parents=[common],
                         help="score stored covers against a truth file")
-    ev.add_argument("covers", nargs="+", help="one or more cover files")
+    ev.add_argument("covers", nargs="+",
+                    help="one or more cover files; several are averaged")
     ev.add_argument("--truth", required=True)
     ev.add_argument("--network", required=True)
-    ev.add_argument("--aggregate", action="store_true",
-                    help="average metrics across the given cover files")
     return parser
 
 

@@ -33,10 +33,10 @@ class HyperParams:
     ----------
     alpha : float
         Concentration of the seating process; larger values favour more
-        communities.  Must be positive.
+        communities.  Must be positive and finite.
     gamma : float
         Dirichlet concentration for node-importance vectors, broadcast to
-        every node.  Must be positive.
+        every node.  Must be positive and finite.
     theta : float
         Membership threshold in (0, 1]: node i joins community r when its
         soft membership is at least ``theta`` times its maximum one.
@@ -57,10 +57,10 @@ class HyperParams:
     k0_divisor: int = 5
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive, got %r" % (self.alpha,))
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive, got %r" % (self.gamma,))
+        for name in ("alpha", "gamma"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be positive and finite, got %r"
+                                 % (name, getattr(self, name)))
         if not 0 < self.theta <= 1:
             raise ValueError("theta must be in (0, 1], got %r" % (self.theta,))
         for name in ("s_first", "s_later", "k0_divisor"):

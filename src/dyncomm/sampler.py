@@ -7,11 +7,14 @@ vector from its Dirichlet posterior.  On snapshots after the first the
 seating weights also carry the previous snapshot's community sizes, which
 is what lets community ids persist through time.
 
-The state is array-backed.  Each live community owns one row index into
+The state is array-backed.  Each community owns one row index into
 arrays of ids, carried-over sizes and seat counts (current plus carried
 size, as a float), and one column of the nodes-by-rows beta array, so that
-one node's betas over all rows are contiguous.  Rows are recycled through
-a free list while community ids stay monotone and are never reused.
+one node's betas over all rows are contiguous.  The rows below the
+high-water mark are dense: a new table takes the row at the mark, a row
+that empties keeps seat count 0 until the sweep ends, and each sweep ends
+by dropping its empty rows, so between sweeps every row holds seats.
+Community ids stay monotone and are never reused.
 
 ``gibbs_sweep`` is the only code that seats edges.  It draws each edge
 from its exact Gibbs conditional, ``seats * beta_i * beta_j`` for every row
@@ -20,15 +23,15 @@ from an envelope.  It visits the shuffled edges in blocks of at most
 ``_BLOCK`` (48), and at a block's start one vectorised pass draws every
 edge's proposal from the weights ``env * beta_i * beta_j`` and the
 new-community weight, where ``env`` is ``seats + _SLACK`` (``_SLACK`` = 1)
-on a live row and 0 on a free one.  An edge accepts a proposed row r with
-probability ``seats_r / env_r`` and a new community outright; otherwise
-it makes the exact draw over the current seat counts.  A block ends as
+on a row that holds seats and 0 on an emptied one.  An edge accepts a
+proposed row r with probability ``seats_r / env_r`` and a new community
+outright; otherwise it makes the exact draw over the current seat counts.  A block ends as
 soon as a seating lifts a row above its envelope or a table opens, so
 ``env_r >= seats_r`` at every visit.  With ``w_r = beta_i * beta_j`` and
 Z~ and Z the totals of the envelope and the conditional, a row is then
 proposed and accepted with probability ``seats_r w_r / Z~``, and the exact
 draw, made with probability ``1 - Z / Z~``, supplies the rest of the
-conditional ``seats_r w_r / Z``.  A free row has seat count 0, so it
+conditional ``seats_r w_r / Z``.  An emptied row has seat count 0, so it
 weighs 0 in both draws and no running sum can stop on it.  The seating
 is a Python list for the length of the sweep, and the seat counts are
 read and written one at a time through a memoryview of the array the
@@ -172,66 +175,49 @@ class SamplerState:
         if labels.shape != (self.m,):
             raise ValueError("%d community ids for %d edges" % (labels.size, self.m))
         ids, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-        cap = max(8, 2 * (len(ids) + len(prev_counts or {})))
-        self._cap = cap
-        self._ids = np.full(cap, -1, dtype=np.int64)
-        self._prev = np.zeros(cap, dtype=np.int64)
-        self._seats = np.zeros(cap, dtype=np.float64)
-        self._beta = np.zeros((self.n_nodes, cap), dtype=np.float64)
-        self._row_of: dict[int, int] = {}
-        self._free: list[int] = []
-        self._high = 0
-
         # the carried sizes as given, so check_consistency can recount _prev
         self._carried = {int(r): int(c) for r, c in (prev_counts or {}).items() if c > 0}
-        for r, c in self._carried.items():
-            self._acquire_row(r, prev=c)
-        for r in ids[np.argsort(first)].tolist():
-            if r not in self._row_of:
-                self._acquire_row(r)
-        self._assign_row = np.array([self._row_of[r] for r in ids.tolist()],
+        # one row per community: the carried ones first, then the others in
+        # the order of their first edge
+        row_ids = list(dict.fromkeys(list(self._carried) + ids[np.argsort(first)].tolist()))
+        high = self._high = len(row_ids)
+        self._cap = max(8, 2 * high)
+        self._ids = np.zeros(self._cap, dtype=np.int64)
+        self._prev = np.zeros(self._cap, dtype=np.int64)
+        self._seats = np.zeros(self._cap, dtype=np.float64)
+        self._beta = np.zeros((self.n_nodes, self._cap), dtype=np.float64)
+        self._ids[:high] = row_ids
+        self._prev[:len(self._carried)] = list(self._carried.values())
+        # ids flowing in from outside (loaded assignments, carried summaries)
+        # must push the allocator forward or a later "fresh" id could collide
+        self.alloc.reserve_through(max(row_ids, default=-1))
+        row_of = dict(zip(row_ids, range(high)))
+        self._assign_row = np.array([row_of[r] for r in ids.tolist()],
                                     dtype=np.int64)[inverse]
-        self._seats[:self._high] += np.bincount(self._assign_row, minlength=self._high)
+        self._seats[:high] = self._prev[:high] + np.bincount(self._assign_row, minlength=high)
         self._init_beta()
 
     # ---------------------------------------------------------------- rows
 
     def _grow(self) -> None:
-        cap = self._cap
-        self._ids = np.concatenate([self._ids, np.full(cap, -1, dtype=np.int64)])
-        self._prev = np.concatenate([self._prev, np.zeros(cap, dtype=np.int64)])
-        self._seats = np.concatenate([self._seats, np.zeros(cap)])
-        self._beta = np.concatenate([self._beta, np.zeros((self.n_nodes, cap))], axis=1)
-        self._cap = 2 * cap
+        self._cap *= 2
+        self._ids, self._prev, self._seats = (np.concatenate([a, np.zeros_like(a)])
+                                              for a in (self._ids, self._prev, self._seats))
+        self._beta = np.concatenate([self._beta, np.zeros_like(self._beta)], axis=1)
 
-    def _acquire_row(self, cid: int, prev: int = 0) -> int:
-        # ids flowing in from outside (loaded assignments, carried summaries)
-        # must push the allocator forward or a later "fresh" id could collide
-        self.alloc.reserve_through(cid)
-        if self._free:
-            row = self._free.pop()
-        else:
-            if self._high == self._cap:
-                self._grow()
-            row = self._high
-            self._high += 1
-        self._ids[row] = cid
-        self._prev[row] = prev
-        self._seats[row] = prev
-        self._beta[:, row] = 0.0
-        self._row_of[cid] = row
-        return row
-
-    def _release_row(self, row: int) -> None:
-        # only rows whose seat count has reached 0 are released, so a free
-        # row weighs 0 in every draw
-        del self._row_of[int(self._ids[row])]
-        self._ids[row] = -1
-        self._prev[row] = 0
-        self._free.append(row)
-
-    def _live_rows(self) -> np.ndarray:
-        return np.nonzero(self._ids[:self._high] >= 0)[0]
+    def _compact(self) -> None:
+        """Drop the rows that emptied since the last compaction, keeping the
+        others in their order, so that every row below the high-water mark
+        holds seats again; no row above it holds a seat or a carried size."""
+        high = self._high
+        live = self._seats[:high] > 0.0
+        keep = np.flatnonzero(live)
+        k = self._high = len(keep)
+        for arr in (self._ids, self._prev, self._seats):
+            arr[:k] = arr[keep]
+            arr[k:high] = 0
+        self._beta[:, :k] = self._beta[:, keep]
+        self._assign_row = (np.cumsum(live) - 1)[self._assign_row]
 
     def _node_counts(self) -> np.ndarray:
         """Recount, from the seating, how many of each row's edges touch each
@@ -246,7 +232,7 @@ class SamplerState:
         # from a prior draw
         n = np.bincount(self._assign_row, minlength=self._high)
         endpoint = self._node_counts()
-        for row in self._live_rows():
+        for row in range(self._high):
             if n[row] > 0:
                 self._beta[:, row] = endpoint[row] / (2.0 * n[row])
             else:
@@ -259,39 +245,49 @@ class SamplerState:
     # ---------------------------------------------------------------- moves
 
     def _create_community(self) -> int:
-        cid = self.alloc.fresh()
-        row = self._acquire_row(cid)
+        """Open a table with a fresh id and a prior beta in a new row at the
+        high-water mark; return its id."""
+        if self._high == self._cap:
+            self._grow()
+        row, cid = self._high, self.alloc.fresh()
+        self._high += 1
+        self._ids[row] = cid
         self._beta[:, row] = self._prior_beta()
         return cid
 
     def resample_beta(self) -> None:
-        """Redraw every live community's beta from Dirichlet(counts + gamma)."""
-        rows = self._live_rows()
-        if len(rows) == 0:
+        """Redraw the beta of every row below the high-water mark from
+        Dirichlet(counts + gamma)."""
+        high = self._high
+        if high == 0:
             return
-        draws = self.rng.standard_gamma(self._node_counts()[rows] + self.hyper.gamma)
+        draws = self.rng.standard_gamma(self._node_counts() + self.hyper.gamma)
         sums = draws.sum(axis=1, keepdims=True)
         flat = sums[:, 0] <= 0.0
         if np.any(flat):
             draws[flat] = 1.0
             sums = draws.sum(axis=1, keepdims=True)
-        self._beta[:, rows] = (draws / sums).T
+        self._beta[:, :high] = (draws / sums).T
 
     # ---------------------------------------------------------------- views
 
-    @property
-    def G(self) -> dict[EdgeKey, int]:
-        unseated = np.nonzero(self._assign_row < 0)[0]
+    def _require_seated(self) -> None:
+        unseated = np.flatnonzero(self._assign_row < 0)
         if len(unseated):
             raise ValueError("edge %r is not currently assigned"
                              % (self.graph.edges[unseated[0]],))
+
+    @property
+    def G(self) -> dict[EdgeKey, int]:
+        self._require_seated()
         return dict(zip(self.graph.edges, self._ids[self._assign_row].tolist()))
 
     @property
     def B(self) -> dict[int, np.ndarray]:
-        """Community id -> a copy of its beta row, for every live community."""
+        """Community id -> a copy of its beta row, for every row below the
+        high-water mark."""
         return {int(self._ids[row]): self._beta[:, row].copy()
-                for row in self._live_rows()}
+                for row in range(self._high)}
 
     def check_consistency(self) -> None:
         """Recount the state from the edge seating and the carried sizes it
@@ -299,31 +295,27 @@ class SamplerState:
         raises AssertionError on drift."""
         high, rows = self._high, self._assign_row
         ids = self._ids[:high]
-        live = np.nonzero(ids >= 0)[0]
         assert np.all((rows >= 0) & (rows < high)), "an edge is unseated"
-        assert np.all(ids[rows] >= 0), "an edge sits on a free row"
+        assert len(np.unique(ids)) == high, "a community id holds two rows"
+        row_of = dict(zip(ids.tolist(), range(high)))
         prev = np.zeros(high, dtype=np.int64)
         for r, c in self._carried.items():
-            assert r in self._row_of, "carried community %d was released" % r
-            prev[self._row_of[r]] = c
+            assert r in row_of, "carried community %d was dropped" % r
+            prev[row_of[r]] = c
         assert np.array_equal(self._prev[:high], prev), "carried sizes drifted"
         assert np.array_equal(self._seats[:high], np.bincount(rows, minlength=high) + prev), \
             "seat counts drifted"
-        assert np.all(self._seats[live] > 0), "an empty row is still live"
-        assert self._row_of == dict(zip(ids[live].tolist(), live.tolist())) \
-            and len(self._row_of) == len(live), "row map drifted from the ids"
-        assert sorted(self._free) == np.nonzero(ids < 0)[0].tolist(), \
-            "free list drifted from the ids"
-        beta = self._beta[:, live]
+        assert np.all(self._seats[:high] > 0), "an empty row is below the high-water mark"
+        beta = self._beta[:, :high]
         assert np.all(beta >= 0) and np.allclose(beta.sum(axis=0), 1.0, rtol=0, atol=1e-9), \
-            "a live beta row is off the simplex"
+            "a beta row is off the simplex"
 
     def record(self, sweep_index: int) -> SampleRecord:
         """Copy the current state into a SampleRecord, scored from its
         theta-rule membership mask."""
-        live = self._live_rows()
-        sizes = (self._seats[live] - self._prev[live]).astype(np.int64)
-        rows, sizes = live[sizes > 0], sizes[sizes > 0]
+        sizes = (self._seats[:self._high] - self._prev[:self._high]).astype(np.int64)
+        rows = np.flatnonzero(sizes > 0)
+        sizes = sizes[rows]
         ids = tuple(self._ids[rows].tolist())
         beta = np.ascontiguousarray(self._beta[:, rows].T)
         assign_ids = self._ids[self._assign_row]
@@ -423,11 +415,12 @@ def gibbs_sweep(state: SamplerState) -> SamplerState:
     edges are visited in blocks of at most ``_BLOCK`` (48).  At a block's
     start one vectorised pass takes ``w_r`` for each of its edges over the
     rows below the high-water mark, weights it by the envelope ``env_r``
-    (``s_r + _SLACK``, that is ``s_r + 1``, on a live row and 0 on a free
-    one), and draws each edge's proposal by inverse CDF from the running
-    sums plus ``new_w``, whose total is Z~; the acceptance uniforms come
-    in the same call.  Per edge: take it out of its row (releasing the row
-    when its seat count reaches 0), accept a proposed row r when
+    (``s_r + _SLACK``, that is ``s_r + 1``, on a row that holds seats and
+    0 on one emptied earlier in the sweep), and draws each edge's proposal
+    by inverse CDF from the running sums plus ``new_w``, whose total is
+    Z~; the acceptance uniforms come in the same call.  Per edge: take it
+    out of its row (an emptied row stays, with seat count 0, until the
+    sweep ends), accept a proposed row r when
     ``u * env_r < s_r``, accept a new community outright, since it weighs
     ``new_w`` in both draws, and otherwise make the exact draw: the
     running sum of the current ``s_r * w_r``, and the row where it first
@@ -441,12 +434,11 @@ def gibbs_sweep(state: SamplerState) -> SamplerState:
     with probability ``s_r w_r / Z~``.  The exact draw, made with the
     remaining probability ``1 - Z / Z~``, adds ``(1 - Z / Z~) s_r w_r / Z``:
     in all ``s_r w_r / Z``, the exact conditional, and likewise
-    ``new_w / Z`` for a new community.
+    ``new_w / Z`` for a new community.  A new table takes the row at the
+    high-water mark.  After the last edge the empty rows are dropped, the
+    others keeping their order, and then the betas are redrawn.
     """
-    unseated = np.flatnonzero(state._assign_row < 0)
-    if len(unseated):
-        raise ValueError("edge %r is not currently assigned"
-                         % (state.graph.edges[unseated[0]],))
+    state._require_seated()
     rng, m = state.rng, state.m
     order = rng.permutation(m)
     visits, pairs = order.tolist(), state.graph.edge_array[order]
@@ -475,10 +467,7 @@ def gibbs_sweep(state: SamplerState) -> SamplerState:
         env = env.tolist()
         for k, (a, r, v) in enumerate(zip(visits[start:stop], pick.tolist(), u[1].tolist())):
             row = assign[a]
-            c = counts[row] - 1.0
-            counts[row] = c
-            if c == 0.0:
-                state._release_row(row)
+            counts[row] -= 1.0
             if r == high or 0 <= r < high and v * env[r] < counts[r]:
                 row = r
             else:
@@ -486,20 +475,19 @@ def gibbs_sweep(state: SamplerState) -> SamplerState:
                 accumulate(w, out=w)
                 total = w.item(-1) + new_w
                 if 0.0 < total < math.inf:
-                    # a free row adds 0 to the running sum, so the first
-                    # position whose sum exceeds the draw is a live row
+                    # an emptied row adds 0 to the running sum, so the first
+                    # position whose sum exceeds the draw holds seats
                     row = int(w.searchsorted(random() * total, side="right"))
                 else:
                     row = high
             opened = row >= high
             if opened:
-                # through the instance, so that a wrapper on the class sees it
-                row = state._row_of[state._create_community()]
-                if state._high != high:
-                    # a new row, and perhaps new arrays after _grow
-                    seats, high = state._seats, state._high
-                    counts, seats_h, beta_h = memoryview(seats), seats[:high], state._beta[:, :high]
-                    w = np.empty(high)
+                # through the instance, so that a wrapper on the class sees
+                # it; the table's row is ``high``, perhaps in new arrays
+                state._create_community()
+                seats, high = state._seats, state._high
+                counts, seats_h, beta_h = memoryview(seats), seats[:high], state._beta[:, :high]
+                w = np.empty(high)
             assign[a] = row
             c = counts[row] + 1.0
             counts[row] = c
@@ -507,6 +495,7 @@ def gibbs_sweep(state: SamplerState) -> SamplerState:
                 break
         start += k + 1
     state._assign_row = np.array(assign, dtype=np.int64)
+    state._compact()
     state.resample_beta()
     return state
 

@@ -112,29 +112,35 @@ def edge_index(state, e) -> int:
     return state.graph.edges.index(e)
 
 
+def row_of(state, cid: int) -> int:
+    """The row of community ``cid`` below the state's high-water mark."""
+    rows = np.flatnonzero(state._ids[:state._high] == cid)
+    if len(rows) != 1:
+        raise KeyError(cid)
+    return int(rows[0])
+
+
 def remove_idx(state, a: int) -> None:
     """Take edge index ``a`` out of its row; a row whose seat count reaches 0
-    is released."""
+    stays, weighing 0, until the state is compacted."""
     row = int(state._assign_row[a])
     if row < 0:
         raise ValueError("edge %r is not currently assigned" % (state.graph.edges[a],))
     state._assign_row[a] = -1
     state._seats[row] -= 1.0
-    if state._seats[row] == 0.0:
-        state._release_row(row)
 
 
 def add_idx(state, a: int, cid: int) -> None:
-    """Seat edge index ``a`` in the live community ``cid``."""
-    row = state._row_of[cid]
+    """Seat edge index ``a`` in community ``cid``."""
+    row = row_of(state, cid)
     state._assign_row[a] = row
     state._seats[row] += 1.0
 
 
 def seat_weights(state, a: int) -> np.ndarray:
     """The seating weight of every row below the high-water mark for removed
-    edge index ``a``: (current + carried size) times the edge likelihood.  A
-    free row has seat count 0, so it weighs 0."""
+    edge index ``a``: (current + carried size) times the edge likelihood.  An
+    emptied row has seat count 0, so it weighs 0."""
     high = state._high
     i, j = state.graph.edge_array[a]
     return state._seats[:high] * state._beta[i, :high] * state._beta[j, :high]
@@ -163,6 +169,7 @@ def per_visit_sweep(state) -> None:
     for a in rng.permutation(state.m).tolist():
         remove_idx(state, a)
         add_idx(state, a, draw_for_edge(state, a))
+    state._compact()
     state.resample_beta()
 
 
@@ -178,7 +185,7 @@ def edge_weights(state, e) -> tuple[dict[int, float], float]:
     a = edge_index(state, e)
     if state._assign_row[a] >= 0:
         raise ValueError("edge %r must be removed before weighing" % (e,))
-    rows = state._live_rows()
+    rows = np.flatnonzero(state._seats[:state._high] > 0)
     w = seat_weights(state, a)
     return dict(zip(state._ids[rows].tolist(), w[rows].tolist())), state._new_w
 

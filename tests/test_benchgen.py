@@ -433,6 +433,31 @@ def test_event_rejects_size_below_one(kind, size):
         Event(2, kind, size=size)
 
 
+@pytest.mark.parametrize("kind, key", [
+    ("birth", "community"), ("birth", "other"), ("death", "other"), ("death", "size"),
+    ("expand", "other"), ("contract", "other"), ("merge", "size"), ("split", "other"),
+    ("split", "size"),
+])
+def test_event_rejects_a_key_its_kind_never_reads(kind, key):
+    # such a key was once dropped silently: a birth given community=7 took
+    # a fresh id instead
+    with pytest.raises(GenError, match="a %s event takes no %s" % (kind, key)):
+        Event(2, kind, **{key: 3})
+
+
+@pytest.mark.parametrize("line, message", [
+    ("2 birth community=7", "birth event takes no community"),
+    ("3 death size=4", "death event takes no size"),
+    ("3 split other=1", "split event takes no other"),
+    ("4 expand b=1", "expand event takes no other"),
+])
+def test_load_schedule_names_the_line_of_an_unread_key(tmp_path, line, message):
+    path = tmp_path / "events.txt"
+    path.write_text("2 birth size=5\n" + line + "\n")
+    with pytest.raises(GenError, match="line 2: a " + message):
+        load_schedule(path)
+
+
 def test_load_schedule_reports_bad_size_with_line_number(tmp_path):
     path = tmp_path / "events.txt"
     path.write_text("2 birth\n3 expand q=-1\n")

@@ -275,6 +275,17 @@ def test_detect_errors_are_nonzero_without_partial_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--gamma"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_detect_rejects_a_non_finite_concentration(bench_dir, tmp_path, capsys, flag, value):
+    # gamma=inf once ran with RuntimeWarnings and exited 0 with k_series 0
+    out = tmp_path / "det"
+    assert run_cli("detect", str(bench_dir / "network.txt"), flag + "=" + value,
+                   "--out", str(out)) == 1
+    assert "%s must be positive and finite" % flag[2:] in capsys.readouterr().err
+    assert not out.exists()
+
+
 FAILING_CHAIN = """\
 import multiprocessing
 import os
@@ -398,8 +409,7 @@ def test_evaluate_aggregate_averages_runs(bench_dir, tmp_path, capsys):
     code = run_cli("evaluate", str(tmp_path / "d1" / "covers.txt"),
                    str(tmp_path / "d2" / "covers.txt"),
                    "--truth", str(bench_dir / "truth.txt"),
-                   "--network", str(bench_dir / "network.txt"),
-                   "--aggregate")
+                   "--network", str(bench_dir / "network.txt"))
     assert code == 0
     agg_lines = capsys.readouterr().out.splitlines()
 
@@ -414,12 +424,13 @@ def test_evaluate_aggregate_averages_runs(bench_dir, tmp_path, capsys):
         got = float(agg_lines[row].split(",")[1])
         assert got == pytest.approx(want, abs=1e-12)
 
-
-def test_evaluate_rejects_multiple_covers_without_aggregate(bench_dir, tmp_path):
-    assert run_cli("evaluate", str(bench_dir / "truth.txt"),
-                   str(bench_dir / "truth.txt"),
-                   "--truth", str(bench_dir / "truth.txt"),
-                   "--network", str(bench_dir / "network.txt")) == 1
+    # run_meta.txt still names whether the runs were averaged
+    for covers, averaged in (["d1"], "False"), (["d1", "d2"], "True"):
+        out = tmp_path / ("ev-%d" % len(covers))
+        assert run_cli("evaluate", *(str(tmp_path / c / "covers.txt") for c in covers),
+                       "--truth", str(bench_dir / "truth.txt"),
+                       "--network", str(bench_dir / "network.txt"), "--out", str(out)) == 0
+        assert "aggregate=%s\n" % averaged in (out / "run_meta.txt").read_text()
 
 
 def test_evaluate_snapshot_mismatch_is_an_error(bench_dir, tmp_path, capsys):

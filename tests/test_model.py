@@ -274,6 +274,14 @@ def test_hyper_params_validation(bad):
         HyperParams(**bad)
 
 
+@pytest.mark.parametrize("name", ["alpha", "gamma"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_hyper_params_reject_non_finite_concentrations(name, value):
+    # gamma=inf once ran a detect that drew NaN betas and reported k=0
+    with pytest.raises(ValueError, match="%s must be positive and finite" % name):
+        HyperParams(**{name: value})
+
+
 def test_community_stats_from_assignment_invariants():
     rng = np.random.default_rng(12)
     for trial in range(30):

@@ -28,7 +28,7 @@ from dyncomm.sampler import (
 )
 from reference import (add_idx, crp_weights, draw_for_edge, edge_index, edge_likelihood,
                        edge_weights, init_assignments_carry_dict, new_group_weight,
-                       per_visit_sweep, rcrp_weights, remove_edge, remove_idx)
+                       per_visit_sweep, rcrp_weights, remove_edge, remove_idx, row_of)
 
 
 def random_graph(rng, n, tries):
@@ -198,8 +198,8 @@ def make_static_state(alpha=0.1, gamma=0.1):
 def test_static_edge_weights_hand_example():
     g, state, h = make_static_state()
     remove_edge(state, (0, 1))
-    row_a = state._row_of[100]
-    row_b = state._row_of[200]
+    row_a = row_of(state, 100)
+    row_b = row_of(state, 200)
     state._beta[0, row_a], state._beta[1, row_a] = 0.2, 0.1
     state._beta[0, row_b], state._beta[1, row_b] = 0.5, 0.4
     existing, new = edge_weights(state, (0, 1))
@@ -211,17 +211,15 @@ def test_static_edge_weights_hand_example():
 def test_static_draw_frequencies_match_weights():
     g, state, h = make_static_state()
     remove_edge(state, (0, 1))
-    row_a = state._row_of[100]
-    row_b = state._row_of[200]
+    row_a = row_of(state, 100)
+    row_b = row_of(state, 200)
     state._beta[0, row_a], state._beta[1, row_a] = 0.2, 0.1
     state._beta[0, row_b], state._beta[1, row_b] = 0.5, 0.4
     a = edge_index(state, (0, 1))
     hits = Counter()
     for _ in range(30_000):
-        cid = draw_for_edge(state, a)
-        hits[cid] += 1
-        if cid not in (100, 200):
-            state._release_row(state._row_of[cid])  # keep the fixture fixed
+        # a table this opens holds no seat, so it weighs 0 in later draws
+        hits[draw_for_edge(state, a)] += 1
     p_b = hits[200] / 30_000
     assert p_b == pytest.approx(0.2 / 0.2605, abs=0.015)
 
@@ -234,10 +232,10 @@ def test_dynamic_edge_weights_hand_example():
     h = HyperParams()
     state = SamplerState(g, assign, {100: 4, 300: 6}, h, np.random.default_rng(1))
     remove_edge(state, (0, 1))
-    state._beta[0, state._row_of[100]] = 0.3
-    state._beta[1, state._row_of[100]] = 0.3
-    state._beta[0, state._row_of[300]] = 0.5
-    state._beta[1, state._row_of[300]] = 0.2
+    state._beta[0, row_of(state, 100)] = 0.3
+    state._beta[1, row_of(state, 100)] = 0.3
+    state._beta[0, row_of(state, 300)] = 0.5
+    state._beta[1, row_of(state, 300)] = 0.2
     existing, new = edge_weights(state, (0, 1))
     assert existing[100] == pytest.approx(0.54)
     # previous-only community stays revivable with weight prev_size * beta product
@@ -312,13 +310,17 @@ def test_leave_one_out_restores_stats_after_row_retirement():
     state = SamplerState(g, {(0, 1): 0, (2, 3): 1}, None, h, np.random.default_rng(4))
     before = CommunityStats.from_assignment(state.G)
     remove_edge(state, (2, 3))  # community 1 dies with its only edge
-    assert 1 not in state._row_of
-    state._beta[:, state._acquire_row(1)] = state._prior_beta()
-    add_idx(state, edge_index(state, (2, 3)), 1)
+    assert state._seats[row_of(state, 1)] == 0.0  # its row stays until compacted
+    cid = state._create_community()
+    add_idx(state, edge_index(state, (2, 3)), cid)
+    state._compact()
     state.check_consistency()
+    assert state._high == 2 and 1 not in state.B
+    relabel = {0: 0, 1: cid}
     after = CommunityStats.from_assignment(state.G)
-    assert before.n == after.n
-    assert before.endpoint_counts == after.endpoint_counts
+    assert after.n == {relabel[r]: n for r, n in before.n.items()}
+    assert after.endpoint_counts == {(i, relabel[r]): c
+                                     for (i, r), c in before.endpoint_counts.items()}
 
 
 def test_G_refuses_an_unseated_edge():
@@ -330,7 +332,7 @@ def test_G_refuses_an_unseated_edge():
         state.G
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         gibbs_sweep(state)
-    for _ in range(state._cap):  # every row live, the last one included
+    for _ in range(state._cap):  # every row opened, the last one included
         state._create_community()
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         state.G
@@ -348,6 +350,22 @@ def test_sweep_keeps_state_consistent():
             state.check_consistency()
 
 
+@pytest.mark.parametrize("prev_counts", [None, {3: 4, 1000: 2}])
+def test_every_row_below_the_mark_holds_seats_after_each_sweep(prev_counts):
+    # every edge starts at a table of its own, so the first sweeps empty
+    # most rows; each sweep must end with none of them left below the mark
+    rng = np.random.default_rng(31)
+    g = random_graph(rng, 30, 120)
+    state = SamplerState(g, np.arange(g.m), prev_counts, HyperParams(), rng)
+    start = state._high
+    for _ in range(6):
+        gibbs_sweep(state)
+        held = len(set(state._ids[state._assign_row].tolist()) | set(prev_counts or {}))
+        assert state._high == held
+        assert np.all(state._seats[:state._high] > 0)
+    assert state._high < start // 2
+
+
 def test_sweep_consistency_with_carryover():
     rng = np.random.default_rng(20)
     h = HyperParams()
@@ -360,32 +378,31 @@ def test_sweep_consistency_with_carryover():
         assert state._seats.sum() - state._prev.sum() == state.m
 
 
-def corrupt(state, kind, free):
-    row = int(state._live_rows()[0])
+def corrupt(state, kind):
+    last = state._high - 1
     if kind == "seat count":
-        state._seats[row] += 1.0
-    elif kind == "free row seat":
-        state._seats[free] = 1.0  # a draw could now stop on the free row
+        state._seats[0] += 1.0
+    elif kind == "empty row":
+        state._create_community()  # a row no edge sits on, left uncompacted
     elif kind == "carried size":
-        state._prev[row] += 4
-    elif kind == "stale row map":
-        state._row_of[state.alloc.high_water] = row
+        state._prev[0] += 4
+    elif kind == "duplicate id":
+        state._ids[last] = state._ids[last - 1]
     elif kind == "beta off simplex":
-        state._beta[:, row] *= 1.5
+        state._beta[:, 0] *= 1.5
 
 
-@pytest.mark.parametrize("kind", ["seat count", "free row seat", "carried size",
-                                  "stale row map", "beta off simplex"])
+@pytest.mark.parametrize("kind", ["seat count", "empty row", "carried size",
+                                  "duplicate id", "beta off simplex"])
 def test_check_consistency_catches_each_corruption(kind):
     rng = np.random.default_rng(29)
     g = random_graph(rng, 12, 50)
     assign = {e: int(rng.integers(0, 3)) for e in g.edges}
     state = SamplerState(g, assign, {0: 5, 1: 2, 9: 4}, HyperParams(), rng)
     gibbs_sweep(state)
-    free = state._row_of[state._create_community()]
-    state._release_row(free)
+    assert state._high >= 4
     state.check_consistency()
-    corrupt(state, kind, free)
+    corrupt(state, kind)
     with pytest.raises(AssertionError):
         state.check_consistency()
 
@@ -449,7 +466,7 @@ def reference_sweep(state, events=None):
     while start < state.m:
         events["block"] += 1
         block = order[start:start + sampler._BLOCK].tolist()
-        rows = np.nonzero(state._ids[:state._high] >= 0)[0]
+        rows = np.flatnonzero(seat_counts(state) > 0)
         env = seat_counts(state)[rows] + sampler._SLACK
         env_of = dict(zip(rows.tolist(), env.tolist()))
         u = rng.random((2, len(block)))
@@ -475,13 +492,14 @@ def reference_sweep(state, events=None):
             if cid >= fresh:
                 events["open"] += 1
                 break
-            row = state._row_of[cid]
+            row = row_of(state, cid)
             if seat_counts(state)[row] > env_of[row]:
                 events["lift"] += 1
                 break
             if not finite:
                 break
         start += k + 1
+    state._compact()
     state.resample_beta()
 
 
@@ -495,7 +513,7 @@ def exact_draw(state, i, j, events):
     """The community id of the exact seating draw for a removed edge (i, j),
     opening a new one when it is drawn or the total is not finite and
     positive."""
-    rows = np.nonzero(state._ids[:state._high] >= 0)[0]
+    rows = np.flatnonzero(seat_counts(state) > 0)
     cum = np.cumsum(state._beta[i, rows] * state._beta[j, rows] * seat_counts(state)[rows])
     total = (float(cum[-1]) if len(cum) else 0.0) + state._new_w
     if not 0.0 < total < math.inf:
@@ -532,13 +550,13 @@ def run_twins(fast, slow, sweeps, events=None):
     """Sweep both states side by side, asserting they stay identical and
     that ``gibbs_sweep`` starts as many blocks and makes as many exact
     draws as ``reference_sweep``, whose events are added to ``events``;
-    returns (tables opened, tables released, grew past the first cap)."""
+returns (tables opened, rows emptied and dropped, grew past the first cap)."""
     cap, first_high = fast._cap, fast.alloc.high_water
     seen = Counter()
     rng, fast.rng = fast.rng, CountingRng(fast.rng)
-    released = 0
+    dropped = 0
     for _ in range(sweeps):
-        before = set(fast._row_of)
+        before = set(fast._ids[:fast._high].tolist())
         gibbs_sweep(fast)
         reference_sweep(slow, seen)
         assert fast.G == slow.G
@@ -548,13 +566,13 @@ def run_twins(fast, slow, sweeps, events=None):
         assert fast._assign_row.dtype == slow._assign_row.dtype == np.int64
         fast.check_consistency()
         slow.check_consistency()
-        released += len(before - set(fast._row_of))
+        dropped += len(before - set(fast._ids[:fast._high].tolist()))
     assert fast.rng.calls["block"] == seen["block"]
     assert fast.rng.calls["redraw"] == seen["redraw"]
     fast.rng = rng
     if events is not None:
         events.update(seen)
-    return fast.alloc.high_water - first_high, released, fast._cap > cap
+    return fast.alloc.high_water - first_high, dropped, fast._cap > cap
 
 
 @st.composite
@@ -582,39 +600,38 @@ def test_seating_view_sweep_matches_the_gather_form(case):
 
 @pytest.mark.parametrize("prev_counts", [None, {0: 3, 9: 2}])
 def test_seating_view_twins_open_release_and_grow(prev_counts):
-    # a witness that the equivalence above covers newborn tables, released
-    # rows and a regrown array, with and without carried-over sizes
+    # a witness that the equivalence above covers newborn tables, rows that
+    # empty and are dropped, and a regrown array, with and without
+    # carried-over sizes
     rng = np.random.default_rng(3)
     g = random_graph(rng, 12, 40)
     labels = rng.integers(0, 2, size=g.m)
     fast, slow = twin_states(g, labels, prev_counts, HyperParams(alpha=50.0), seed=8)
-    opened, released, grew = run_twins(fast, slow, sweeps=8)
-    assert opened > 0 and released > 0 and grew
+    opened, dropped, grew = run_twins(fast, slow, sweeps=8)
+    assert opened > 0 and dropped > 0 and grew
 
 
 def test_seating_view_twins_grow_in_mid_sweep():
     # alpha = 50 on one starting community of cap 8: every sweep opens
-    # tables, and one sweep both releases rows and outgrows the first cap
-    # with edges still to seat, so it must read the regrown arrays from then
-    # on
+    # tables, and a sweep outgrows the first cap with a row already emptied
+    # and edges still to seat, so it must read the regrown arrays from then
+    # on and compact rows in them
     rng = np.random.default_rng(3)
     g = random_graph(rng, 12, 40)
     fast, slow = twin_states(g, np.zeros(g.m, dtype=np.int64), None,
                              HyperParams(alpha=50.0), seed=6)
     events: list[str] = []
-    create, release = fast._create_community, fast._release_row
+    create = fast._create_community
 
     def logged_create():
         cap = fast._cap
+        if np.any(fast._seats[:fast._high] == 0.0):
+            events.append("emptied")
         cid = create()
         events.append("grow" if fast._cap > cap else "open")
         return cid
 
-    def logged_release(row):
-        release(row)
-        events.append("release")
-
-    fast._create_community, fast._release_row = logged_create, logged_release
+    fast._create_community = logged_create
     per_sweep = []
     for _ in range(4):
         events.clear()
@@ -622,8 +639,9 @@ def test_seating_view_twins_grow_in_mid_sweep():
         per_sweep.append(list(events))
     assert all("open" in ev for ev in per_sweep)
     grew = [ev for ev in per_sweep if "grow" in ev]
-    assert len(grew) == 1 and "release" in grew[0]
-    assert "open" in grew[0][grew[0].index("grow") + 1:]
+    assert grew
+    assert any("emptied" in ev[:ev.index("grow") + 1] and "open" in ev[ev.index("grow") + 1:]
+               for ev in grew)
 
 
 def test_seating_view_twins_end_blocks_each_way():
@@ -637,7 +655,7 @@ def test_seating_view_twins_end_blocks_each_way():
     fast, slow = twin_states(g, rng.integers(0, 4, size=g.m), None, HyperParams(), seed=5)
     for state in (fast, slow):
         state._new_w = 0.0
-        live = state._live_rows()
+        live = slice(0, state._high)
         state._beta[0, live] = 0.0
         state._beta[:, live] /= state._beta[:, live].sum(axis=0)
     events = Counter()
