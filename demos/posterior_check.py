@@ -2,10 +2,13 @@
 
 On a 5-edge graph the collapsed posterior over edge partitions can be
 enumerated (52 partitions), which gives an exact target distribution.
-Running the sampler longer should push the empirical distribution toward
-it; this script prints the total-variation distance at a few horizons.
+This script prints the total-variation distance of the sampler's
+empirical distribution from it at a few horizons.  The distance falls as
+the chain runs longer, to a floor of a few hundredths: a new table draws
+its beta from the prior Dirichlet(gamma) rather than from its posterior
+given the edge that opened it, which biases the chain slightly.
 
-Run:  python3 demos/posterior_check.py      (about half a minute)
+Run:  python3 demos/posterior_check.py      (about ten seconds)
 """
 from __future__ import annotations
 
@@ -72,8 +75,11 @@ def main():
             print("%6d   %.4f" % (sweep + 1, tv))
 
     print()
-    print("the distance keeps shrinking, so the per-edge updates are")
-    print("sampling the distribution the collapsed enumeration predicts")
+    print("the distance falls from 5,000 to 40,000 sweeps, and the chain samples")
+    print("close to the enumerated posterior; it levels off at a few hundredths")
+    print("(about 0.026 after 100,000 sweeps in the acceptance gate), because a")
+    print("new table draws its beta from the prior Dirichlet(gamma) rather than")
+    print("from its posterior given the edge that opened it")
 
 
 if __name__ == "__main__":

@@ -19,8 +19,7 @@ from .membership import (Cover, extract_cover, load_covers, save_covers,
                          select_best)
 from .metrics import (MetricReport, MetricRow, extended_modularity,
                       overlapping_nmi)
-from .model import (CommunityStats, HyperParams, collapsed_partition_score,
-                    crp_log_prob)
+from .model import HyperParams, collapsed_partition_score, crp_log_prob
 from .sampler import (PrevSummary, SampleRecord, SamplerState, SnapshotResult,
                       detect_dynamic, gibbs_sweep, init_assignments_carry,
                       init_assignments_first, run_snapshot, sweep_records)
@@ -35,8 +34,7 @@ __all__ = [
     "Cover", "extract_cover", "load_covers", "save_covers",
     "select_best",
     "MetricReport", "MetricRow", "extended_modularity", "overlapping_nmi",
-    "CommunityStats", "HyperParams", "collapsed_partition_score",
-    "crp_log_prob",
+    "HyperParams", "collapsed_partition_score", "crp_log_prob",
     "PrevSummary", "SampleRecord", "SamplerState", "SnapshotResult",
     "detect_dynamic", "gibbs_sweep", "init_assignments_carry",
     "init_assignments_first", "run_snapshot", "sweep_records",

@@ -139,6 +139,14 @@ def _resolve_gen(args, filecfg: dict[str, str], seed: int) -> tuple[GenConfig, G
 
 def resolve_run_config(args) -> RunConfig:
     filecfg = _read_config(args.config) if getattr(args, "config", None) else {}
+    # a config key the command never reads is a typo, not a no-op
+    known = {"seed", "chains"} | {f[0] for f in _HYPER_FIELDS}
+    if args.command == "generate":
+        known |= {"schedule"} | {f[0] for f in _GEN_FIELDS}
+    unread = sorted(set(filecfg) - known)
+    if unread:
+        raise ValueError("%s: %s reads no config key %s"
+                         % (args.config, args.command, ", ".join(unread)))
     seed = _resolve_seed(args, filecfg)
     hyper = _resolve_hyper(args, filecfg)
     chains = getattr(args, "chains", None)

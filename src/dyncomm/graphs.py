@@ -44,9 +44,9 @@ class SnapshotGraph:
     edge's two positions in ``nodes``, in the given edge order) and
     ``degree_array``.  They are read-only and nothing writes to the
     instance afterwards, so one snapshot is safe to share across
-    concurrent sampler chains.  ``edges``, ``node_index``, ``edge_set``
-    and ``degrees`` are tuple, dict and set views built on first use, for
-    callers that want Python objects; detection reads none of them.
+    concurrent sampler chains.  ``edges``, ``edge_set`` and ``degrees``
+    are tuple, set and dict views built on first use, for callers that
+    want Python objects; detection reads none of them.
     """
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]], t: int = 1):
@@ -73,11 +73,6 @@ class SnapshotGraph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Endpoint id pairs, in ``edge_array`` order."""
         return tuple(map(tuple, self.nodes[self.edge_array].tolist()))
-
-    @cached_property
-    def node_index(self) -> dict[int, int]:
-        """Node id -> compact index in ``self.nodes`` order."""
-        return dict(zip(self.nodes.tolist(), range(self.n)))
 
     @cached_property
     def degrees(self) -> dict[int, int]:

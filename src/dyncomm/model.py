@@ -9,13 +9,14 @@ on the simplex (Dirichlet ``gamma`` prior), and an edge (i, j) seated at
 
 The module holds the hyper-parameters and the exact collapsed score of an
 edge partition (the seating prior times the Dirichlet-marginal likelihood),
-which the sampler's long-run behaviour is tested against.  The seating
-weights themselves are computed in one place, ``SamplerState`` in
-``sampler.py``.
+which the sampler's long-run behaviour is tested against; it counts each
+community's size and endpoint counts itself.  The seating weights are
+computed in one place, ``SamplerState`` in ``sampler.py``.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -64,33 +65,9 @@ class HyperParams:
         if not 0 < self.theta <= 1:
             raise ValueError("theta must be in (0, 1], got %r" % (self.theta,))
         for name in ("s_first", "s_later", "k0_divisor"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be a positive integer" % name)
-
-
-class CommunityStats:
-    """Sufficient statistics of an edge assignment.
-
-    ``n[r]`` is the number of edges seated at community r; and
-    ``endpoint_counts[(i, r)]`` is the number of those edges incident to
-    node i.  Each edge contributes its two endpoints, so the endpoint
-    counts of a community sum to ``2 * n[r]``.
-    """
-
-    def __init__(self, n: Mapping[int, int] | None = None,
-                 endpoint_counts: Mapping[tuple[int, int], int] | None = None):
-        self.n: dict[int, int] = dict(n or {})
-        self.endpoint_counts: dict[tuple[int, int], int] = dict(endpoint_counts or {})
-
-    @classmethod
-    def from_assignment(cls, assignment: Mapping[EdgeKey, int]) -> "CommunityStats":
-        n: Counter = Counter()
-        ec: Counter = Counter()
-        for (u, v), r in assignment.items():
-            n[r] += 1
-            ec[(u, r)] += 1
-            ec[(v, r)] += 1
-        return cls(dict(n), dict(ec))
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError("%s must be a positive integer, got %r" % (name, value))
 
 
 def crp_log_prob(sizes: Iterable[int], alpha: float) -> float:
@@ -122,15 +99,13 @@ def collapsed_partition_score(assignment: Mapping[EdgeKey, int],
     for u, v in graph.edges:
         if (u, v) not in assignment:
             raise ValueError("edge (%d, %d) is unassigned" % (u, v))
-    stats = CommunityStats.from_assignment(assignment)
+    n = Counter(assignment.values())
+    endpoints = Counter(ir for (u, v), r in assignment.items() for ir in ((u, r), (v, r)))
     gamma = hyper.gamma
     g0 = graph.n * gamma
-    score = crp_log_prob(stats.n.values(), hyper.alpha)
-    per_community: dict[int, list[int]] = {}
-    for (_, r), c in stats.endpoint_counts.items():
-        per_community.setdefault(r, []).append(c)
-    for r, n_r in stats.n.items():
-        for c in per_community[r]:
-            score += math.lgamma(gamma + c) - math.lgamma(gamma)
+    score = crp_log_prob(n.values(), hyper.alpha)
+    for c in endpoints.values():
+        score += math.lgamma(gamma + c) - math.lgamma(gamma)
+    for n_r in n.values():
         score -= math.lgamma(g0 + 2 * n_r) - math.lgamma(g0)
     return score

@@ -38,6 +38,9 @@ read and written one at a time through a memoryview of the array the
 vectorised draws read.  The per-node endpoint counts and the current
 sizes are recounted from the seating with ``np.bincount`` where they are
 read: the maximum-likelihood start, and the beta redraw once per sweep.
+Every drawn beta comes from ``_dirichlet``, one ``standard_gamma`` call
+per batch of rows: the prior of a new table or of a carried community with
+no current edge, and the posterior of every row once per sweep.
 
 A chain scores each sweep as it ends (``sweep_records``) from its
 theta-rule mask and keeps only the best record so far (``run_snapshot``),
@@ -161,7 +164,6 @@ class SamplerState:
         self.alloc = alloc if alloc is not None else CommunityIdAllocator()
         self.n_nodes = graph.n
         self.m = graph.m
-        self._prior_shape = np.full(self.n_nodes, hyper.gamma)
         # a brand-new community weighs alpha * gamma^2 / (gamma0 * (gamma0 + 1)),
         # the closed form of the Dirichlet-marginal edge probability
         g0 = self.n_nodes * hyper.gamma
@@ -175,11 +177,10 @@ class SamplerState:
         if labels.shape != (self.m,):
             raise ValueError("%d community ids for %d edges" % (labels.size, self.m))
         ids, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-        # the carried sizes as given, so check_consistency can recount _prev
-        self._carried = {int(r): int(c) for r, c in (prev_counts or {}).items() if c > 0}
+        carried = {int(r): int(c) for r, c in (prev_counts or {}).items() if c > 0}
         # one row per community: the carried ones first, then the others in
         # the order of their first edge
-        row_ids = list(dict.fromkeys(list(self._carried) + ids[np.argsort(first)].tolist()))
+        row_ids = list(dict.fromkeys(list(carried) + ids[np.argsort(first)].tolist()))
         high = self._high = len(row_ids)
         self._cap = max(8, 2 * high)
         self._ids = np.zeros(self._cap, dtype=np.int64)
@@ -187,7 +188,7 @@ class SamplerState:
         self._seats = np.zeros(self._cap, dtype=np.float64)
         self._beta = np.zeros((self.n_nodes, self._cap), dtype=np.float64)
         self._ids[:high] = row_ids
-        self._prev[:len(self._carried)] = list(self._carried.values())
+        self._prev[:len(carried)] = list(carried.values())
         # ids flowing in from outside (loaded assignments, carried summaries)
         # must push the allocator forward or a later "fresh" id could collide
         self.alloc.reserve_through(max(row_ids, default=-1))
@@ -229,18 +230,12 @@ class SamplerState:
     def _init_beta(self) -> None:
         # maximum-likelihood start beta_ir = N_ir / (2 n_r) for communities
         # that own edges; carried communities with no current edges start
-        # from a prior draw
+        # from prior draws, in row order
         n = np.bincount(self._assign_row, minlength=self._high)
-        endpoint = self._node_counts()
-        for row in range(self._high):
-            if n[row] > 0:
-                self._beta[:, row] = endpoint[row] / (2.0 * n[row])
-            else:
-                self._beta[:, row] = self._prior_beta()
-
-    def _prior_beta(self) -> np.ndarray:
-        """One node-importance vector drawn from the Dirichlet(gamma) prior."""
-        return _dirichlet_row(self.rng, self._prior_shape)
+        held, empty = np.flatnonzero(n > 0), np.flatnonzero(n == 0)
+        self._beta[:, held] = (self._node_counts()[held] / (2.0 * n[held, None])).T
+        self._beta[:, empty] = _dirichlet(
+            self.rng, np.full((len(empty), self.n_nodes), self.hyper.gamma)).T
 
     # ---------------------------------------------------------------- moves
 
@@ -252,34 +247,20 @@ class SamplerState:
         row, cid = self._high, self.alloc.fresh()
         self._high += 1
         self._ids[row] = cid
-        self._beta[:, row] = self._prior_beta()
+        prior = np.full((1, self.n_nodes), self.hyper.gamma)
+        self._beta[:, row] = _dirichlet(self.rng, prior)[0]
         return cid
 
     def resample_beta(self) -> None:
         """Redraw the beta of every row below the high-water mark from
         Dirichlet(counts + gamma)."""
-        high = self._high
-        if high == 0:
-            return
-        draws = self.rng.standard_gamma(self._node_counts() + self.hyper.gamma)
-        sums = draws.sum(axis=1, keepdims=True)
-        flat = sums[:, 0] <= 0.0
-        if np.any(flat):
-            draws[flat] = 1.0
-            sums = draws.sum(axis=1, keepdims=True)
-        self._beta[:, :high] = (draws / sums).T
+        shape = self._node_counts() + self.hyper.gamma
+        self._beta[:, :self._high] = _dirichlet(self.rng, shape).T
 
     # ---------------------------------------------------------------- views
 
-    def _require_seated(self) -> None:
-        unseated = np.flatnonzero(self._assign_row < 0)
-        if len(unseated):
-            raise ValueError("edge %r is not currently assigned"
-                             % (self.graph.edges[unseated[0]],))
-
     @property
     def G(self) -> dict[EdgeKey, int]:
-        self._require_seated()
         return dict(zip(self.graph.edges, self._ids[self._assign_row].tolist()))
 
     @property
@@ -288,27 +269,6 @@ class SamplerState:
         high-water mark."""
         return {int(self._ids[row]): self._beta[:, row].copy()
                 for row in range(self._high)}
-
-    def check_consistency(self) -> None:
-        """Recount the state from the edge seating and the carried sizes it
-        was built with, and compare every maintained array with the recount;
-        raises AssertionError on drift."""
-        high, rows = self._high, self._assign_row
-        ids = self._ids[:high]
-        assert np.all((rows >= 0) & (rows < high)), "an edge is unseated"
-        assert len(np.unique(ids)) == high, "a community id holds two rows"
-        row_of = dict(zip(ids.tolist(), range(high)))
-        prev = np.zeros(high, dtype=np.int64)
-        for r, c in self._carried.items():
-            assert r in row_of, "carried community %d was dropped" % r
-            prev[row_of[r]] = c
-        assert np.array_equal(self._prev[:high], prev), "carried sizes drifted"
-        assert np.array_equal(self._seats[:high], np.bincount(rows, minlength=high) + prev), \
-            "seat counts drifted"
-        assert np.all(self._seats[:high] > 0), "an empty row is below the high-water mark"
-        beta = self._beta[:, :high]
-        assert np.all(beta >= 0) and np.allclose(beta.sum(axis=0), 1.0, rtol=0, atol=1e-9), \
-            "a beta row is off the simplex"
 
     def record(self, sweep_index: int) -> SampleRecord:
         """Copy the current state into a SampleRecord, scored from its
@@ -325,12 +285,16 @@ class SamplerState:
                             self.graph.nodes, self.hyper.theta)
 
 
-def _dirichlet_row(rng: np.random.Generator, shape: np.ndarray) -> np.ndarray:
-    draw = rng.standard_gamma(shape)
-    s = draw.sum()
-    if s <= 0.0:
-        return np.full(len(shape), 1.0 / len(shape))
-    return draw / s
+def _dirichlet(rng: np.random.Generator, shape: np.ndarray) -> np.ndarray:
+    """One Dirichlet draw per row of the 2-D concentration array ``shape``, by
+    one ``standard_gamma`` call; a row whose variates all underflow is uniform."""
+    draws = rng.standard_gamma(shape)
+    sums = draws.sum(axis=1, keepdims=True)
+    flat = sums[:, 0] <= 0.0
+    if np.any(flat):
+        draws[flat] = 1.0
+        sums[flat] = shape.shape[1]
+    return draws / sums
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -438,7 +402,6 @@ def gibbs_sweep(state: SamplerState) -> SamplerState:
     high-water mark.  After the last edge the empty rows are dropped, the
     others keeping their order, and then the betas are redrawn.
     """
-    state._require_seated()
     rng, m = state.rng, state.m
     order = rng.permutation(m)
     visits, pairs = order.tolist(), state.graph.edge_array[order]

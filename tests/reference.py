@@ -15,8 +15,11 @@ The functions from ``edge_index`` to ``edge_weights`` act on a
 row, weigh the rows for it, draw its community from the exact conditional
 and seat it again.  ``per_visit_sweep`` is a sweep of those draws, the
 edge pass before the envelope: its chain has the law of ``gibbs_sweep``'s.
-Only the tests need them.  ``edge_key`` gives an edge's canonical form,
-and ``validate`` lists every way a ``SnapshotGraph`` breaks the
+Only the tests need them.  ``CommunityStats`` holds the per-community
+sizes and endpoint counts of a seating that ``crp_weights`` and
+``rcrp_weights`` weigh, and ``check_consistency`` recounts a state from
+its seating and carried sizes.  ``edge_key`` gives an edge's canonical
+form, and ``validate`` lists every way a ``SnapshotGraph`` breaks the
 invariants that ``load_dynamic`` and the generator must keep, edge by
 edge.
 
@@ -34,6 +37,7 @@ list only when an endpoint fills up.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Mapping
 
 import numpy as np
@@ -42,8 +46,33 @@ from dyncomm.benchgen import GenConfig, GenError, _apportion
 from dyncomm.graphs import GraphFormatError, SnapshotGraph
 from dyncomm.membership import Cover
 from dyncomm.metrics import _cover_matrix
-from dyncomm.model import CommunityStats, HyperParams
+from dyncomm.model import HyperParams
 from dyncomm.sampler import CommunityIdAllocator
+
+
+class CommunityStats:
+    """Sufficient statistics of an edge assignment.
+
+    ``n[r]`` is the number of edges seated at community r; and
+    ``endpoint_counts[(i, r)]`` is the number of those edges incident to
+    node i.  Each edge contributes its two endpoints, so the endpoint
+    counts of a community sum to ``2 * n[r]``.
+    """
+
+    def __init__(self, n: Mapping[int, int] | None = None,
+                 endpoint_counts: Mapping[tuple[int, int], int] | None = None):
+        self.n: dict[int, int] = dict(n or {})
+        self.endpoint_counts: dict[tuple[int, int], int] = dict(endpoint_counts or {})
+
+    @classmethod
+    def from_assignment(cls, assignment: Mapping[tuple[int, int], int]) -> "CommunityStats":
+        n: Counter = Counter()
+        ec: Counter = Counter()
+        for (u, v), r in assignment.items():
+            n[r] += 1
+            ec[(u, r)] += 1
+            ec[(v, r)] += 1
+        return cls(dict(n), dict(ec))
 
 
 def crp_weights(stats: CommunityStats, alpha: float) -> tuple[dict[int, float], float]:
@@ -188,6 +217,29 @@ def edge_weights(state, e) -> tuple[dict[int, float], float]:
     rows = np.flatnonzero(state._seats[:state._high] > 0)
     w = seat_weights(state, a)
     return dict(zip(state._ids[rows].tolist(), w[rows].tolist())), state._new_w
+
+
+def check_consistency(state, prev_counts: Mapping[int, int] | None) -> None:
+    """Recount a ``SamplerState`` from its edge seating and the carried
+    sizes ``prev_counts`` it was built with, and compare every array the
+    sampler maintains with the recount; raises AssertionError on drift."""
+    high, rows = state._high, state._assign_row
+    ids = state._ids[:high]
+    assert np.all((rows >= 0) & (rows < high)), "an edge is unseated"
+    assert len(np.unique(ids)) == high, "a community id holds two rows"
+    row_of = dict(zip(ids.tolist(), range(high)))
+    prev = np.zeros(high, dtype=np.int64)
+    for r, c in (prev_counts or {}).items():
+        if c > 0:
+            assert r in row_of, "carried community %d was dropped" % r
+            prev[row_of[r]] = c
+    assert np.array_equal(state._prev[:high], prev), "carried sizes drifted"
+    assert np.array_equal(state._seats[:high], np.bincount(rows, minlength=high) + prev), \
+        "seat counts drifted"
+    assert np.all(state._seats[:high] > 0), "an empty row is below the high-water mark"
+    beta = state._beta[:, :high]
+    assert np.all(beta >= 0) and np.allclose(beta.sum(axis=0), 1.0, rtol=0, atol=1e-9), \
+        "a beta row is off the simplex"
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:

@@ -6,7 +6,7 @@ from pathlib import Path
 import dyncomm
 
 PUBLIC_API = [
-    "CommunityStats", "Cover", "DynamicNetwork", "Event", "GenConfig",
+    "Cover", "DynamicNetwork", "Event", "GenConfig",
     "GenError", "GenSchedule", "GraphFormatError", "GroundTruth",
     "HyperParams", "MetricReport", "MetricRow", "PrevSummary",
     "SampleRecord", "SamplerState", "SnapshotGraph", "SnapshotResult",

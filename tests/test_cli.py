@@ -263,6 +263,29 @@ def test_detect_flag_overrides_config_hyper(bench_dir, tmp_path):
     assert "theta=0.9\n" in (out / "run_meta.txt").read_text()
 
 
+@pytest.mark.parametrize("typo", ["samples_frist=2", "n=60"])
+def test_detect_rejects_a_config_key_it_never_reads(bench_dir, tmp_path, capsys, typo):
+    # samples_frist=2 once ran silently with the default 100 first sweeps
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("samples_later=2\n%s\n" % typo)
+    out = tmp_path / "det"
+    out.mkdir()
+    (out / "covers.txt").write_text("old\n")
+    assert run_cli("detect", str(bench_dir / "network.txt"), str(cfg),
+                   "--seed", "1", "--out", str(out)) == 1
+    assert typo.split("=")[0] in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["covers.txt"]
+    assert (out / "covers.txt").read_text() == "old\n"
+
+
+def test_generate_rejects_a_config_key_it_never_reads(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert run_cli("generate", str(small_config(tmp_path, avg_degre=8)),
+                   "--out", str(out)) == 1
+    assert "avg_degre" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_detect_errors_are_nonzero_without_partial_output(tmp_path, capsys):
     out = tmp_path / "det"
     assert run_cli("detect", str(tmp_path / "missing.txt"),

@@ -272,7 +272,6 @@ def test_constructor_takes_arrays_or_pairs_and_freezes_its_arrays():
         assert g.edges == ((9, 3), (3, 7), (7, 9))  # the given order and orientation
         assert g.edge_array.tolist() == [[2, 0], [0, 1], [1, 2]]
         assert g.degree_array.tolist() == [2.0, 2.0, 2.0, 0.0]
-        assert g.node_index == {3: 0, 7: 1, 9: 2, 12: 3}
         for arr in (g.nodes, g.edge_array, g.degree_array):
             assert not arr.flags.writeable
     empty = SnapshotGraph([], [])

@@ -6,13 +6,9 @@ from scipy import integrate
 from scipy.special import gammaln
 
 from dyncomm.graphs import SnapshotGraph
-from dyncomm.model import (
-    CommunityStats,
-    HyperParams,
-    collapsed_partition_score,
-    crp_log_prob,
-)
-from reference import crp_weights, edge_likelihood, new_group_weight, rcrp_weights
+from dyncomm.model import HyperParams, collapsed_partition_score, crp_log_prob
+from reference import (CommunityStats, crp_weights, edge_likelihood, new_group_weight,
+                       rcrp_weights)
 
 
 def set_partitions(items):
@@ -268,6 +264,9 @@ def test_hyper_params_defaults():
 @pytest.mark.parametrize("bad", [
     dict(alpha=0.0), dict(alpha=-1.0), dict(gamma=0.0), dict(theta=0.0),
     dict(theta=1.5), dict(s_first=0), dict(s_later=0), dict(k0_divisor=0),
+    # a fractional or bool sweep count once passed here and failed in detect
+    dict(s_first=2.5), dict(s_later=3.0), dict(k0_divisor=1.5), dict(s_first=True),
+    dict(s_later=False), dict(k0_divisor="5"),
 ])
 def test_hyper_params_validation(bad):
     with pytest.raises(ValueError):
