@@ -3,10 +3,10 @@
 On a 5-edge graph the collapsed posterior over edge partitions can be
 enumerated (52 partitions), which gives an exact target distribution.
 This script prints the total-variation distance of the sampler's
-empirical distribution from it at a few horizons.  The distance falls as
-the chain runs longer, to a floor of a few hundredths: a new table draws
-its beta from the prior Dirichlet(gamma) rather than from its posterior
-given the edge that opened it, which biases the chain slightly.
+empirical distribution from it at a few horizons.  Every beta the sampler
+draws comes from its posterior, a new table's given the edge that opened
+it, so the chain targets the exact posterior and the distance keeps
+falling as it runs longer, at about the rate of Monte Carlo noise.
 
 Run:  python3 demos/posterior_check.py      (about ten seconds)
 """
@@ -75,11 +75,10 @@ def main():
             print("%6d   %.4f" % (sweep + 1, tv))
 
     print()
-    print("the distance falls from 5,000 to 40,000 sweeps, and the chain samples")
-    print("close to the enumerated posterior; it levels off at a few hundredths")
-    print("(about 0.026 after 100,000 sweeps in the acceptance gate), because a")
-    print("new table draws its beta from the prior Dirichlet(gamma) rather than")
-    print("from its posterior given the edge that opened it")
+    print("the distance falls from 5,000 to 40,000 sweeps with no floor: the")
+    print("chain targets the enumerated posterior, and what is left is Monte")
+    print("Carlo noise, which shrinks as the chain runs longer (under 0.01 after")
+    print("100,000 sweeps in the acceptance gate)")
 
 
 if __name__ == "__main__":

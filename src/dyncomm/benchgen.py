@@ -10,6 +10,7 @@ K series matter more here than degree-sequence realism.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,9 @@ class GenConfig:
             raise GenError("churn must lie in [0, 1)")
         if self.t < 1:
             raise GenError("t must be >= 1")
-        if self.avg_degree <= 0 or self.avg_degree * self.n / 2 > self.n * (self.n - 1) / 2:
+        if not 0 < self.avg_degree < math.inf:
+            raise GenError("avg_degree must be positive and finite, got %r" % (self.avg_degree,))
+        if self.avg_degree * self.n / 2 > self.n * (self.n - 1) / 2:
             raise GenError("avg_degree target exceeds a simple graph's capacity")
         if self.max_degree is not None and self.max_degree < 1:
             raise GenError("max_degree must be positive when given")

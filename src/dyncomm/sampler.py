@@ -35,12 +35,11 @@ conditional ``seats_r w_r / Z``.  An emptied row has seat count 0, so it
 weighs 0 in both draws and no running sum can stop on it.  The seating
 is a Python list for the length of the sweep, and the seat counts are
 read and written one at a time through a memoryview of the array the
-vectorised draws read.  The per-node endpoint counts and the current
-sizes are recounted from the seating with ``np.bincount`` where they are
-read: the maximum-likelihood start, and the beta redraw once per sweep.
-Every drawn beta comes from ``_dirichlet``, one ``standard_gamma`` call
-per batch of rows: the prior of a new table or of a carried community with
-no current edge, and the posterior of every row once per sweep.
+vectorised draws read.  Every beta is drawn from Dirichlet(gamma + its
+row's endpoint counts) by ``_dirichlet``: every row at the start (a carried
+community with no current edge from the prior) and after each sweep, from
+counts recounted with ``np.bincount``, and a new table's row given the edge
+that opened it, from Dirichlet(gamma + e_i + e_j).
 
 A chain scores each sweep as it ends (``sweep_records``) from its
 theta-rule mask and keeps only the best record so far (``run_snapshot``),
@@ -196,7 +195,7 @@ class SamplerState:
         self._assign_row = np.array([row_of[r] for r in ids.tolist()],
                                     dtype=np.int64)[inverse]
         self._seats[:high] = self._prev[:high] + np.bincount(self._assign_row, minlength=high)
-        self._init_beta()
+        self.resample_beta()
 
     # ---------------------------------------------------------------- rows
 
@@ -227,28 +226,21 @@ class SamplerState:
         flat = (self._assign_row[:, None] * n + self.graph.edge_array).ravel()
         return np.bincount(flat, minlength=high * n).reshape(high, n)
 
-    def _init_beta(self) -> None:
-        # maximum-likelihood start beta_ir = N_ir / (2 n_r) for communities
-        # that own edges; carried communities with no current edges start
-        # from prior draws, in row order
-        n = np.bincount(self._assign_row, minlength=self._high)
-        held, empty = np.flatnonzero(n > 0), np.flatnonzero(n == 0)
-        self._beta[:, held] = (self._node_counts()[held] / (2.0 * n[held, None])).T
-        self._beta[:, empty] = _dirichlet(
-            self.rng, np.full((len(empty), self.n_nodes), self.hyper.gamma)).T
-
     # ---------------------------------------------------------------- moves
 
-    def _create_community(self) -> int:
-        """Open a table with a fresh id and a prior beta in a new row at the
-        high-water mark; return its id."""
+    def _create_community(self, i: int, j: int) -> int:
+        """Open a table with a fresh id in a new row at the high-water mark
+        for the edge at node positions ``i`` and ``j``, its beta drawn from
+        Dirichlet(gamma + e_i + e_j); return its id."""
         if self._high == self._cap:
             self._grow()
         row, cid = self._high, self.alloc.fresh()
         self._high += 1
         self._ids[row] = cid
-        prior = np.full((1, self.n_nodes), self.hyper.gamma)
-        self._beta[:, row] = _dirichlet(self.rng, prior)[0]
+        shape = np.full((1, self.n_nodes), self.hyper.gamma)
+        shape[0, i] += 1.0
+        shape[0, j] += 1.0
+        self._beta[:, row] = _dirichlet(self.rng, shape)[0]
         return cid
 
     def resample_beta(self) -> None:
@@ -447,7 +439,7 @@ def gibbs_sweep(state: SamplerState) -> SamplerState:
             if opened:
                 # through the instance, so that a wrapper on the class sees
                 # it; the table's row is ``high``, perhaps in new arrays
-                state._create_community()
+                state._create_community(*pairs[start + k])
                 seats, high = state._seats, state._high
                 counts, seats_h, beta_h = memoryview(seats), seats[:high], state._beta[:, :high]
                 w = np.empty(high)

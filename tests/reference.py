@@ -178,14 +178,15 @@ def seat_weights(state, a: int) -> np.ndarray:
 def draw_for_edge(state, a: int) -> int:
     """Draw a community id for removed edge index ``a`` from its exact
     conditional, with one ``rng.random()``; choosing a brand-new community
-    opens one, with a fresh id and a prior beta draw."""
+    opens one, with a fresh id and a beta drawn given edge ``a``."""
+    ends = state.graph.edge_array[a]
     w = np.cumsum(seat_weights(state, a))
     total = float(w[-1]) + state._new_w
     if not 0.0 < total < math.inf:
-        return state._create_community()
+        return state._create_community(*ends)
     row = int(w.searchsorted(state.rng.random() * total, side="right"))
     if row >= len(w):
-        return state._create_community()
+        return state._create_community(*ends)
     return int(state._ids[row])
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -53,6 +54,14 @@ def test_config_rejects_bad_ranges():
         GenConfig(n=100, k=4, avg_degree=200.0)
     with pytest.raises(GenError):
         GenConfig(n=100, k=4, t=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -2.0])
+def test_config_rejects_a_non_positive_or_non_finite_avg_degree(value):
+    # avg_degree=nan once passed the capacity check and failed in the
+    # generator with "cannot convert float NaN to integer"
+    with pytest.raises(GenError, match="avg_degree must be positive and finite"):
+        GenConfig(n=100, k=4, avg_degree=value)
 
 
 def test_overlap_free_config_allows_small_k():

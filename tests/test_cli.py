@@ -238,9 +238,9 @@ def test_generate_and_detect_bytes_are_pinned(tmp_path):
         gen / "truth.txt":
             "d79e00448fa24ae461ff0a46d68b44f09acdff2f1692b5734edb484bf60dfe39",
         det / "covers.txt":
-            "d8050b26883daff9cf1b7dd388c6e86393a2bbfa521b480e6f07c077355c458e",
+            "6eff15c852d5342ff86e1a0d944d6e29fbc83aadec15a8d4cb0cdca4d221463c",
         det / "metrics.csv":
-            "fba6bccbd6d0be96ae8907455436e0c60e038dea49fec1ee592684175208730d",
+            "e8b7da5cd00db265411b2c022fd9537051863f2bd78f9b0ad029fd97ce7d635e",
     }
     for path, digest in pinned.items():
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
@@ -284,6 +284,20 @@ def test_generate_rejects_a_config_key_it_never_reads(tmp_path, capsys):
                    "--out", str(out)) == 1
     assert "avg_degre" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_generate_rejects_a_non_positive_or_non_finite_avg_degree(tmp_path, capsys, value):
+    # avg_degree=nan once exited 1 with "cannot convert float NaN to
+    # integer", which names no key
+    out = tmp_path / "gen"
+    out.mkdir()
+    (out / "network.txt").write_text("old\n")
+    assert run_cli("generate", str(small_config(tmp_path, avg_degree=value)),
+                   "--out", str(out)) == 1
+    assert "avg_degree must be positive and finite" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["network.txt"]
+    assert (out / "network.txt").read_text() == "old\n"
 
 
 def test_detect_errors_are_nonzero_without_partial_output(tmp_path, capsys):

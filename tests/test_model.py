@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,27 +8,9 @@ from scipy.special import gammaln
 
 from dyncomm.graphs import SnapshotGraph
 from dyncomm.model import HyperParams, collapsed_partition_score, crp_log_prob
+from exact import set_partitions
 from reference import (CommunityStats, crp_weights, edge_likelihood, new_group_weight,
                        rcrp_weights)
-
-
-def set_partitions(items):
-    """All set partitions, by recursive placement (restricted growth order)."""
-    items = list(items)
-
-    def rec(i, groups):
-        if i == len(items):
-            yield [tuple(g) for g in groups]
-            return
-        for g in groups:
-            g.append(items[i])
-            yield from rec(i + 1, groups)
-            g.pop()
-        groups.append([items[i]])
-        yield from rec(i + 1, groups)
-        groups.pop()
-
-    yield from rec(0, [])
 
 
 # ---------------------------------------------------------------- seating
@@ -178,8 +161,8 @@ def test_crp_log_prob_empty():
 
 def test_crp_log_prob_sums_to_one_over_all_partitions():
     for alpha in (0.1, 0.7, 2.0):
-        total = sum(math.exp(crp_log_prob([len(g) for g in p], alpha))
-                    for p in set_partitions(range(4)))
+        total = sum(math.exp(crp_log_prob(Counter(labels).values(), alpha))
+                    for labels in set_partitions(4))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
