@@ -107,7 +107,9 @@ def save_covers(path, covers: Mapping[int, Cover]) -> None:
 
 def load_covers(path) -> dict[int, Cover]:
     """Inverse of save_covers; tolerates comments and blank lines.  A line
-    that is not three integers and a finite u raises naming file and line."""
+    that is not three integers and a finite, non-negative u, or that names
+    a (t, community, node) an earlier line named, raises naming file and
+    line."""
     out: dict[int, Cover] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -117,13 +119,16 @@ def load_covers(path) -> dict[int, Cover]:
             try:
                 t, r, i, w = line.split()
                 t, r, i, w = int(t), int(r), int(i), float(w)
-                ok = math.isfinite(w)
+                ok = 0.0 <= w < math.inf
             except ValueError:  # a wrong token count or an unreadable token
                 ok = False
             if not ok:
                 raise ValueError("%s line %d: expected 't community node u' with a "
-                                 "finite u, got %r" % (path, lineno, raw.rstrip("\n")))
+                                 "finite u >= 0, got %r" % (path, lineno, raw.rstrip("\n")))
             cover = out.setdefault(t, Cover())
+            if (i, r) in cover.weights:
+                raise ValueError("%s line %d: t=%d community %d node %d is given twice"
+                                 % (path, lineno, t, r, i))
             cover.communities.setdefault(r, set()).add(i)
             cover.weights[(i, r)] = w
     return out

@@ -20,21 +20,27 @@ Community ids stay monotone and are never reused.
 from its exact Gibbs conditional, ``seats * beta_i * beta_j`` for every row
 below the high-water mark plus the new-community weight, by rejection
 from an envelope.  It visits the shuffled edges in blocks of at most
-``_BLOCK`` (48), and at a block's start one vectorised pass draws every
+``_BLOCK`` (96), and at a block's start one vectorised pass draws every
 edge's proposal from the weights ``env * beta_i * beta_j`` and the
 new-community weight, where ``env`` is ``seats + _SLACK`` (``_SLACK`` = 1)
-on a row that holds seats and 0 on an emptied one.  An edge accepts a
-proposed row r with probability ``seats_r / env_r`` and a new community
-outright; otherwise it makes the exact draw over the current seat counts.  A block ends as
-soon as a seating lifts a row above its envelope or a table opens, so
-``env_r >= seats_r`` at every visit.  With ``w_r = beta_i * beta_j`` and
-Z~ and Z the totals of the envelope and the conditional, a row is then
-proposed and accepted with probability ``seats_r w_r / Z~``, and the exact
-draw, made with probability ``1 - Z / Z~``, supplies the rest of the
-conditional ``seats_r w_r / Z``.  An emptied row has seat count 0, so it
-weighs 0 in both draws and no running sum can stop on it.  The seating
-is a Python list for the length of the sweep, and the seat counts are
-read and written one at a time through a memoryview of the array the
+on a row that holds seats and 0 on an emptied one.  A seating that lifts
+a row above its envelope raises that envelope in place to ``seats +
+_SLACK``, and a later edge of the block then proposes from the raised
+mass with the probability that mass has in its raised envelope total,
+and from its block-start proposal otherwise.  So an edge always proposes
+from the current envelope, which is at least every row's seat count.  It
+accepts a proposed row r with probability ``seats_r / env_r`` and a new
+community outright; otherwise it makes the exact draw over the current
+seat counts.  With ``w_r = beta_i * beta_j`` and Z~ and Z the totals of the
+envelope and the conditional, a row is then proposed and accepted with
+probability ``seats_r w_r / Z~``, and the exact draw, made with
+probability ``1 - Z / Z~``, supplies the rest of the conditional
+``seats_r w_r / Z``.  A block ends only when a table opens, since the
+block's proposals know nothing of its row, or when an envelope total is
+not finite and positive.  An emptied row has seat count 0, so it weighs
+0 in both draws and no running sum can stop on it.  The seating is a
+Python list for the length of the sweep, and the seat counts are read
+and written one at a time through a memoryview of the array the
 vectorised draws read.  Every beta is drawn from Dirichlet(gamma + its
 row's endpoint counts) by ``_dirichlet``: every row at the start (a carried
 community with no current edge from the prior) and after each sweep, from
@@ -353,11 +359,15 @@ def _match_pairs(old: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 # the edge pass draws the proposals of up to _BLOCK edges at a time, from
 # an envelope that gives every live row _SLACK seats more than it holds.
-# A wider slack ends fewer blocks but sends more visits to the exact draw:
-# about slack + 1 per live row and sweep, whatever the edge count.  Beside
-# the beta redraw, that fixed cost would keep a sweep's time from growing
-# in step with the edge count, so the slack is 1 seat.
-_BLOCK = 48
+# A seating that lifts a row above its envelope raises it in place, so a
+# block ends only when a table opens or an envelope total is not finite.
+# A longer block spreads its vectorised start over more edges, but its
+# later edges carry more raised mass and take the mixture's extra cumsum
+# more often.  A wider slack sends more visits to the exact draw: about
+# slack + 1 per live row and sweep, whatever the edge count.  Beside the
+# beta redraw, that fixed cost would keep a sweep's time from growing in
+# step with the edge count, so the slack is 1 seat.
+_BLOCK = 96
 _SLACK = 1.0
 
 
@@ -368,31 +378,41 @@ def gibbs_sweep(state: SamplerState) -> SamplerState:
     For a removed edge (i, j) the conditional weighs row r by
     ``s_r * w_r``, with seat count ``s_r`` and ``w_r = beta_ir * beta_jr``,
     and a new community by ``new_w``; Z is the sum of these weights.  The
-    edges are visited in blocks of at most ``_BLOCK`` (48).  At a block's
+    edges are visited in blocks of at most ``_BLOCK`` (96).  At a block's
     start one vectorised pass takes ``w_r`` for each of its edges over the
     rows below the high-water mark, weights it by the envelope ``env_r``
     (``s_r + _SLACK``, that is ``s_r + 1``, on a row that holds seats and
     0 on one emptied earlier in the sweep), and draws each edge's proposal
     by inverse CDF from the running sums plus ``new_w``, whose total is
-    Z~; the acceptance uniforms come in the same call.  Per edge: take it
-    out of its row (an emptied row stays, with seat count 0, until the
-    sweep ends), accept a proposed row r when
-    ``u * env_r < s_r``, accept a new community outright, since it weighs
-    ``new_w`` in both draws, and otherwise make the exact draw: the
+    Z~; the acceptance and mixture uniforms come in the same call.
+
+    A seating that lifts row q above its envelope raises it in place to
+    ``s_q + _SLACK``; ``raised[q]`` sums the raises of the block and
+    ``extra[k]``, the mass ``raised . w`` they add to later edge k's
+    envelope, so that edge's envelope total is Z~ + E with E =
+    ``extra[k]``.  Per edge: take it out of its row (an emptied row stays,
+    with seat count 0, until the sweep ends).  When E > 0, with a uniform
+    x, ``y = x (Z~ + E) - Z~``; if y >= 0, which happens with probability
+    E / (Z~ + E), the proposal is the raised row where the running sum of
+    ``raised[q] * w_q`` first exceeds y, and otherwise the block-start
+    proposal stands.  Accept a proposed row r when ``u * env_r < s_r``,
+    with the current envelope, accept a new community outright, since it
+    weighs ``new_w`` in both draws, and otherwise make the exact draw: the
     running sum of the current ``s_r * w_r``, and the row where it first
     exceeds ``u * (sum + new_w)``; past the last row, or when that total
     is not finite and positive, a new community.  A block ends right after
-    a seating lifts a row above its envelope, right after a community
-    opens, and right after an edge whose envelope total is not finite and
-    positive, which takes the exact draw.
+    a community opens and right after an edge whose block-start envelope
+    total is not finite and positive, which takes the exact draw.
 
-    So at every visit ``env_r >= s_r``, and a row is proposed and accepted
-    with probability ``s_r w_r / Z~``.  The exact draw, made with the
-    remaining probability ``1 - Z / Z~``, adds ``(1 - Z / Z~) s_r w_r / Z``:
-    in all ``s_r w_r / Z``, the exact conditional, and likewise
-    ``new_w / Z`` for a new community.  A new table takes the row at the
-    high-water mark.  After the last edge the empty rows are dropped, the
-    others keeping their order, and then the betas are redrawn.
+    So at every visit ``env_r >= s_r``, and a row is proposed with
+    probability ``env_r w_r / Z~'``, Z~' being the current envelope's
+    total, and accepted with probability ``s_r w_r / Z~'``.  The exact
+    draw, made with the remaining probability ``1 - Z / Z~'``, adds
+    ``(1 - Z / Z~') s_r w_r / Z``: in all ``s_r w_r / Z``, the exact
+    conditional, and likewise ``new_w / Z`` for a new community.  A new
+    table takes the row at the high-water mark.  After the last edge the
+    empty rows are dropped, the others keeping their order, and then the
+    betas are redrawn.
     """
     rng, m = state.rng, state.m
     order = rng.permutation(m)
@@ -414,15 +434,29 @@ def gibbs_sweep(state: SamplerState) -> SamplerState:
         cum = prod * env
         accumulate(cum, axis=1, out=cum)
         totals = cum[:, -1] + new_w
-        u = random((2, stop - start))
+        u = random((3, stop - start))
         # the proposal is the number of running sums at or below u * total:
         # a row, or ``high`` for a new community; -1 takes the exact draw
         pick = np.count_nonzero(cum <= (u[0] * totals)[:, None], axis=1)
         pick[~((totals > 0.0) & (totals < math.inf))] = -1
         env = env.tolist()
-        for k, (a, r, v) in enumerate(zip(visits[start:stop], pick.tolist(), u[1].tolist())):
+        raised = extra = None  # made at the block's first raise
+        for k, (a, r, v, x, z) in enumerate(zip(visits[start:stop], pick.tolist(),
+                                                 u[1].tolist(), u[2].tolist(),
+                                                 totals.tolist())):
             row = assign[a]
             counts[row] -= 1.0
+            if extra is not None and r >= 0:
+                e = extra.item(k)
+                if e > 0.0:
+                    y = x * (z + e) - z
+                    if y >= 0.0:
+                        multiply(raised, prod[k], out=w)
+                        accumulate(w, out=w)
+                        # rounding may put y past the last sum: the last row
+                        # that adds mass then takes it
+                        r = min(int(w.searchsorted(y, side="right")),
+                                int(w.searchsorted(w.item(-1))))
             if r == high or 0 <= r < high and v * env[r] < counts[r]:
                 row = r
             else:
@@ -446,8 +480,15 @@ def gibbs_sweep(state: SamplerState) -> SamplerState:
             assign[a] = row
             c = counts[row] + 1.0
             counts[row] = c
-            if opened or r < 0 or c > env[row]:
+            if opened or r < 0:
                 break
+            if c > env[row]:
+                lift = c + _SLACK - env[row]
+                env[row] = c + _SLACK
+                if raised is None:
+                    raised, extra = np.zeros(high), np.zeros(stop - start)
+                raised[row] += lift
+                extra[k + 1:] += lift * prod[k + 1:, row]
         start += k + 1
     state._assign_row = np.array(assign, dtype=np.int64)
     state._compact()

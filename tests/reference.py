@@ -1,11 +1,12 @@
 """Per-edge reference kernels of the seating rule, used only by the tests.
 
-The sampler's ``gibbs_sweep`` draws the proposals of a block of up to 48
+The sampler's ``gibbs_sweep`` draws the proposals of a block of up to 96
 edges at once from an envelope of every community's weight, ``seats + 1``
-in place of ``seats``, and accepts each by rejection or falls back to the
-exact draw.  These are the exact formulas written out one edge and one
-community at a time, keyed by community id, so a test can check the engine
-against a form that shares none of its code:
+in place of ``seats``, raises a row's envelope in place when a seating
+lifts the row above it, and accepts each proposal by rejection or falls
+back to the exact draw.  These are the exact formulas written out one
+edge and one community at a time, keyed by community id, so a test can
+check the engine against a form that shares none of its code:
 
     weight of community r = (n_r + n_r^prev) * beta_ir * beta_jr
     weight of a new one   = alpha * gamma_i * gamma_j / (gamma_0 * (gamma_0 + 1))

@@ -238,9 +238,9 @@ def test_generate_and_detect_bytes_are_pinned(tmp_path):
         gen / "truth.txt":
             "d79e00448fa24ae461ff0a46d68b44f09acdff2f1692b5734edb484bf60dfe39",
         det / "covers.txt":
-            "6eff15c852d5342ff86e1a0d944d6e29fbc83aadec15a8d4cb0cdca4d221463c",
+            "48d82dba76eb73abdd7e27475bdbd0bf265b2aa5e750d8e25f6afd08abf13894",
         det / "metrics.csv":
-            "e8b7da5cd00db265411b2c022fd9537051863f2bd78f9b0ad029fd97ce7d635e",
+            "b7609c3ce0f6fd785f4aaebf3e160e0d40f90010547d0aca7c1c189cc46561b3",
     }
     for path, digest in pinned.items():
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
@@ -488,6 +488,20 @@ def test_evaluate_bad_cover_token_is_an_error_naming_the_line(bench_dir, tmp_pat
     assert run_cli("evaluate", str(covers), "--truth", str(bench_dir / "truth.txt"),
                    "--network", str(bench_dir / "network.txt"), "--out", str(out)) == 1
     assert "%s line 2: " % covers in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad, lineno", [("1 0 5 0.5\n1 0 5 0.7\n", 2),
+                                         ("1 0 5 0.5\n1 0 6 -2.0\n", 2)],
+                         ids=["repeated", "negative"])
+def test_evaluate_repeated_or_negative_cover_line_is_an_error(bench_dir, tmp_path, capsys,
+                                                              bad, lineno):
+    covers = tmp_path / "covers.txt"
+    covers.write_text(bad)
+    out = tmp_path / "ev"
+    assert run_cli("evaluate", str(covers), "--truth", str(bench_dir / "truth.txt"),
+                   "--network", str(bench_dir / "network.txt"), "--out", str(out)) == 1
+    assert "%s line %d: " % (covers, lineno) in capsys.readouterr().err
     assert not out.exists()
 
 

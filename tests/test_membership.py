@@ -194,12 +194,23 @@ def test_cover_file_rejects_short_line(tmp_path):
 
 
 @pytest.mark.parametrize("bad", ["1 x 3 0.5", "1.5 2 3 0.5", "1 2 3 heavy",
-                                 "1 2 3 0.5 9", "1 2 3 nan", "1 2 3 inf", "1 2 3 -inf"])
+                                 "1 2 3 0.5 9", "1 2 3 nan", "1 2 3 inf", "1 2 3 -inf",
+                                 "1 2 3 -2.0"])
 def test_cover_file_bad_line_names_file_and_line(tmp_path, bad):
     p = tmp_path / "bad.txt"
     p.write_text("1 2 4 0.5\n%s\n" % bad)
     with pytest.raises(ValueError, match="bad.txt line 2: .*%s" % bad):
         load_covers(p)
+
+
+def test_cover_file_rejects_a_membership_given_twice(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_text("1 0 5 0.5\n1 0 5 0.7\n1 0 6 -2.0\n")
+    with pytest.raises(ValueError, match="bad.txt line 2: t=1 community 0 node 5 is given twice"):
+        load_covers(p)
+    # the same node in another snapshot or community, and a u of 0, are fine
+    p.write_text("1 0 5 0.0\n2 0 5 0.7\n1 1 5 0.1\n")
+    assert load_covers(p)[1].weights == {(5, 0): 0.0, (5, 1): 0.1}
 
 
 def test_membership_counts():

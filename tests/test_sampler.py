@@ -411,7 +411,8 @@ def test_previous_only_community_beta_resampled():
 def test_beta_and_seating_stream_is_pinned():
     # the draws the pinned CLI bytes need not reach: the start's betas,
     # carried communities with no current edge among them (gamma=0.02), an
-    # opened table's, and 20 sweeps', so a refactor cannot move them unseen
+    # opened table's, and 20 sweeps' (with raised envelopes and proposals
+    # from the raised mass), so a refactor cannot move them unseen
     rng = np.random.default_rng(41)
     g = random_graph(rng, 30, 120)
     state = SamplerState(g, rng.integers(0, 4, size=g.m), {2: 3, 50: 2, 60: 4},
@@ -430,7 +431,7 @@ def test_beta_and_seating_stream_is_pinned():
         gibbs_sweep(state)
         take()
     assert digest.hexdigest() == \
-        "c35ee1909b1b280cbf24e74a1a5cc3a01b2a5b5964fb5866595178cd3d16c579"
+        "20d7e6002eaf8c498ea11fd1383127dd80dadd2ea5a471a8abb0f251bf07e23c"
 
 
 def test_retired_ids_never_return_on_first_snapshot():
@@ -464,16 +465,19 @@ def test_run_snapshot_deterministic():
 
 
 def reference_sweep(state, events=None):
-    """One block pass with every weight gathered afresh: live rows from
-    ``np.nonzero``, sizes from ``np.bincount`` of the seated edges rather
-    than the state's running seat counts, and per edge fancy-indexed
-    ``beta_i * beta_j * env`` over the live rows and ``np.cumsum``.  It
-    moves edges with the per-edge functions of ``reference``, opens tables
-    through the state's own method and draws from its rng in the order
-    ``gibbs_sweep`` does, so the two must agree bit for bit.  ``events``,
-    a Counter, counts the blocks, each way a block ends ("lift", "open",
-    "nonfinite"), the exact draws ("fallback") and the uniforms they take
-    ("redraw")."""
+    """One raised-envelope block pass with every weight gathered afresh:
+    live rows from ``np.nonzero``, sizes from ``np.bincount`` of the seated
+    edges rather than the state's running seat counts, per edge
+    fancy-indexed ``beta_i * beta_j * env`` over the block's live rows and
+    ``np.cumsum``, and an edge's raised mass summed from the block's list of
+    raises rather than kept per edge.  It moves edges with the per-edge
+    functions of ``reference``, opens tables through the state's own method
+    and draws from its rng in the order ``gibbs_sweep`` does, so the two
+    must agree bit for bit.  ``events``, a Counter, counts the blocks, the
+    envelope raises ("raise"), the blocks that raise two rows or more
+    ("raised2"), the proposals taken from the raised mass ("mixture"), each
+    way a block ends ("open", "nonfinite"), the exact draws ("fallback")
+    and the uniforms they take ("redraw")."""
     events = events if events is not None else Counter()
     rng, ends = state.rng, state.graph.edge_array
     order = rng.permutation(state.m)
@@ -483,21 +487,35 @@ def reference_sweep(state, events=None):
         block = order[start:start + sampler._BLOCK].tolist()
         rows = np.flatnonzero(seat_counts(state) > 0)
         env = seat_counts(state)[rows] + sampler._SLACK
-        env_of = dict(zip(rows.tolist(), env.tolist()))
-        u = rng.random((2, len(block)))
+        env_now = dict(zip(rows.tolist(), env.tolist()))  # raised in place
+        raises = []  # (row, how far its envelope rose), in the order they happen
+        u = rng.random((3, len(block)))
         for k, a in enumerate(block):
             i, j = ends[a]
+            beta = state._beta  # a new table may have regrown it
             fresh = state.alloc.high_water  # ids from here on are newly opened
-            cum = np.cumsum(state._beta[i, rows] * state._beta[j, rows] * env)
+            cum = np.cumsum(beta[i, rows] * beta[j, rows] * env)
             total = float(cum[-1]) + state._new_w
             remove_idx(state, a)
             cid, finite = None, 0.0 < total < math.inf
             if finite:
                 pos = int(np.searchsorted(cum, u[0, k] * total, side="right"))
-                if pos == len(rows):
+                proposal = int(rows[pos]) if pos < len(rows) else None  # None: a new table
+                extra = 0.0
+                for q, lift in raises:
+                    extra += lift * (beta[i, q] * beta[j, q])
+                y = u[2, k] * (total + extra) - total
+                if extra > 0.0 and y >= 0.0:
+                    events["mixture"] += 1
+                    lifted = sorted({q for q, _ in raises})
+                    mass = np.cumsum([sum(d for q2, d in raises if q2 == q)
+                                      * (beta[i, q] * beta[j, q]) for q in lifted])
+                    proposal = lifted[min(int(np.searchsorted(mass, y, side="right")),
+                                          int(np.searchsorted(mass, mass[-1])))]
+                if proposal is None:
                     cid = state._create_community(i, j)
-                elif u[1, k] * env[pos] < seat_counts(state)[rows[pos]]:
-                    cid = int(state._ids[rows[pos]])
+                elif u[1, k] * env_now[proposal] < seat_counts(state)[proposal]:
+                    cid = int(state._ids[proposal])
             else:
                 events["nonfinite"] += 1
             if cid is None:
@@ -507,12 +525,16 @@ def reference_sweep(state, events=None):
             if cid >= fresh:
                 events["open"] += 1
                 break
-            row = row_of(state, cid)
-            if seat_counts(state)[row] > env_of[row]:
-                events["lift"] += 1
-                break
             if not finite:
                 break
+            row = row_of(state, cid)
+            seated = seat_counts(state)[row]
+            if seated > env_now[row]:
+                events["raise"] += 1
+                raises.append((row, seated + sampler._SLACK - env_now[row]))
+                env_now[row] = seated + sampler._SLACK
+        if len({q for q, _ in raises}) >= 2:
+            events["raised2"] += 1
         start += k + 1
     state._compact()
     state.resample_beta()
@@ -660,8 +682,9 @@ def test_seating_view_twins_grow_in_mid_sweep():
 
 
 def test_seating_view_twins_end_blocks_each_way():
-    # four starting communities merge, so seatings lift rows above their
-    # envelopes, and rejected proposals take the exact draw.  With no
+    # four starting communities merge, so seatings raise the envelopes of
+    # two rows or more in a block, later edges propose from the raised
+    # mass, and rejected proposals take the exact draw.  With no
     # new-table weight and node 0 weightless in every row, the first edge
     # at node 0 has an envelope total of 0: it takes the exact draw, whose
     # total is 0 too, so it opens a table.
@@ -675,7 +698,8 @@ def test_seating_view_twins_end_blocks_each_way():
         state._beta[:, live] /= state._beta[:, live].sum(axis=0)
     events = Counter()
     run_twins(fast, slow, sweeps=3, events=events)
-    assert events["lift"] > 0 and events["open"] > 0 and events["nonfinite"] > 0
+    assert events["raise"] > 0 and events["raised2"] > 0 and events["mixture"] > 0
+    assert events["open"] > 0 and events["nonfinite"] > 0
     assert events["fallback"] > events["nonfinite"] and events["redraw"] > 0
 
 
@@ -769,15 +793,29 @@ def children_gone(timeout=30.0):
     return multiprocessing.active_children() == []
 
 
+def first_seed(holds, seeds):
+    """The first of ``seeds`` for which ``holds(seed)`` is true.  The tests
+    below need a run that shows a certain outcome; searching for it, rather
+    than pinning a seed, keeps them testing that outcome when the random
+    stream changes."""
+    for seed in seeds:
+        if holds(seed):
+            return seed
+    pytest.fail("no seed in %r meets the precondition" % (seeds,))
+
+
 def test_detect_dynamic_same_result_for_any_worker_count(monkeypatch):
-    # seed 165 is won by chains 0, 1 and 2 in turn, so ids drawn by every
-    # chain's allocator reach the output
+    # a seed whose snapshots chains 0, 1 and 2 win in turn, so that ids
+    # drawn by every chain's allocator reach the output
     net = three_snapshots(32)
     h = HyperParams(s_first=10, s_later=6)
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
+    seed = first_seed(lambda s: [r.chain for r in detect_dynamic(net, h, seed=s, chains=3)]
+                      == [0, 1, 2], range(500))
     runs = {}
     for cpus in (1, 2, 3):
         monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
-        runs[cpus] = detect_dynamic(net, h, seed=165, chains=3)
+        runs[cpus] = detect_dynamic(net, h, seed=seed, chains=3)
     assert [r.chain for r in runs[1]] == [0, 1, 2]
     for cpus in (2, 3):
         for a, b in zip(runs[1], runs[cpus]):
@@ -788,14 +826,16 @@ def test_detect_dynamic_same_result_for_any_worker_count(monkeypatch):
 
 
 def test_winning_chain_ids_do_not_depend_on_other_chains(monkeypatch):
-    # chain 1 wins t=1 for seed 1; its ids must be those of the same chain
-    # fitted alone, not shifted past the ids chain 0 used
+    # for a seed where chain 1 wins t=1, its ids must be those of the same
+    # chain fitted alone, not shifted past the ids chain 0 used
     monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
     net = three_snapshots(32)
     h = HyperParams(s_first=10, s_later=6)
-    first = detect_dynamic(net, h, seed=1, chains=2)[0]
+    seed = first_seed(lambda s: detect_dynamic(net, h, seed=s, chains=2)[0].chain == 1,
+                      range(100))
+    first = detect_dynamic(net, h, seed=seed, chains=2)[0]
     assert first.chain == 1
-    records = run_snapshot(net[0], None, h, np.random.default_rng([1, 0, 1]),
+    records = run_snapshot(net[0], None, h, np.random.default_rng([seed, 0, 1]),
                            alloc=CommunityIdAllocator())
     cover, record = select_best([(r, r.cover) for r in records])
     assert first.cover.communities == cover.communities
