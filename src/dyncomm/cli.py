@@ -2,11 +2,15 @@
 
 Three subcommands share one configuration story: an optional key=value
 config file, command-line flags that win over it, and DYNCOMM_SEED as the
-seed of last resort.  Outputs are plain text (edge lists, cover files,
-metric CSV) plus a run_meta.txt that echoes the resolved settings, so a
-run can be reproduced from its output directory alone.  A command writes
-its files into a new directory beside ``--out`` and moves them in only
-after every write succeeded, so a failed run leaves ``--out`` untouched.
+seed of last resort.  Each command takes only the flags and keys it reads:
+``generate`` the seed, a schedule and the generator's keys, ``detect`` the
+seed, the chain count and the hyper-parameters, and ``evaluate`` neither a
+seed nor a config file.  Outputs are plain text (edge lists, cover files,
+metric CSV) plus a run_meta.txt that echoes the settings the command read,
+so a run can be reproduced from its output directory alone.  A command
+writes its files into a new directory beside ``--out`` and moves them in
+only after every write succeeded, so a failed run leaves ``--out``
+untouched.
 """
 from __future__ import annotations
 
@@ -51,13 +55,22 @@ _GEN_FIELDS = (
 )
 
 
+# the config file keys each command reads; evaluate takes no config file
+_CONFIG_KEYS = {
+    "generate": {"seed", "schedule"} | {f[0] for f in _GEN_FIELDS},
+    "detect": {"seed", "chains"} | {f[0] for f in _HYPER_FIELDS},
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one command invocation resolved to."""
+    """Everything one command invocation resolved to.  A setting the
+    command does not read stays at its default: ``seed`` is None for
+    evaluate and ``hyper`` is None for all but detect."""
 
     command: str
-    hyper: HyperParams
-    seed: int
+    seed: int | None = None
+    hyper: HyperParams | None = None
     chains: int = 1
     out: Path | None = None
     network: Path | None = None
@@ -92,7 +105,7 @@ def _cast(filecfg: dict[str, str], key: str, cast):
 
 
 def _resolve_seed(args, filecfg: dict[str, str]) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     if "seed" in filecfg:
         return _cast(filecfg, "seed", int)
@@ -108,7 +121,7 @@ def _resolve_seed(args, filecfg: dict[str, str]) -> int:
 def _resolve_hyper(args, filecfg: dict[str, str]) -> HyperParams:
     vals = {}
     for flag, field, cast in _HYPER_FIELDS:
-        given = getattr(args, flag, None)
+        given = getattr(args, flag)
         if given is not None:
             vals[field] = given
         elif flag in filecfg:
@@ -138,38 +151,34 @@ def _resolve_gen(args, filecfg: dict[str, str], seed: int) -> tuple[GenConfig, G
 
 
 def resolve_run_config(args) -> RunConfig:
-    filecfg = _read_config(args.config) if getattr(args, "config", None) else {}
+    out = Path(args.out) if args.out else None
+    if args.command == "evaluate":
+        return RunConfig("evaluate", out=out, covers=tuple(Path(p) for p in args.covers),
+                         network=Path(args.network), truth=Path(args.truth))
+    filecfg = _read_config(args.config) if args.config else {}
     # a config key the command never reads is a typo, not a no-op
-    known = {"seed", "chains"} | {f[0] for f in _HYPER_FIELDS}
-    if args.command == "generate":
-        known |= {"schedule"} | {f[0] for f in _GEN_FIELDS}
-    unread = sorted(set(filecfg) - known)
+    unread = sorted(set(filecfg) - _CONFIG_KEYS[args.command])
     if unread:
         raise ValueError("%s: %s reads no config key %s"
                          % (args.config, args.command, ", ".join(unread)))
     seed = _resolve_seed(args, filecfg)
-    hyper = _resolve_hyper(args, filecfg)
-    chains = getattr(args, "chains", None)
-    if chains is None:
-        chains = _cast(filecfg, "chains", int) if "chains" in filecfg else 1
-    if chains < 1:
-        raise ValueError("chains must be >= 1")
-    out = Path(args.out) if getattr(args, "out", None) else None
-    common = dict(hyper=hyper, seed=seed, chains=chains, out=out)
     if args.command == "generate":
         gen, sched = _resolve_gen(args, filecfg, seed)
-        if out is None:
-            raise ValueError("generate needs --out to place its files")
-        return RunConfig("generate", gen=gen, schedule=sched,
-                         preset_name=args.preset, **common)
-    if args.command == "detect":
-        if out is None:
-            raise ValueError("detect needs --out to place its files")
-        return RunConfig("detect", network=Path(args.network),
-                         truth=Path(args.truth) if args.truth else None,
-                         **common)
-    return RunConfig("evaluate", covers=tuple(Path(p) for p in args.covers),
-                     network=Path(args.network), truth=Path(args.truth), **common)
+        cfg = RunConfig("generate", seed=seed, out=out, gen=gen, schedule=sched,
+                        preset_name=args.preset)
+    else:
+        hyper = _resolve_hyper(args, filecfg)
+        chains = args.chains
+        if chains is None:
+            chains = _cast(filecfg, "chains", int) if "chains" in filecfg else 1
+        if chains < 1:
+            raise ValueError("chains must be >= 1")
+        cfg = RunConfig("detect", seed=seed, hyper=hyper, chains=chains, out=out,
+                        network=Path(args.network),
+                        truth=Path(args.truth) if args.truth else None)
+    if out is None:
+        raise ValueError("%s needs --out to place its files" % args.command)
+    return cfg
 
 
 @contextmanager
@@ -189,8 +198,13 @@ def _staged(out: Path):
 
 
 def _write_meta(cfg: RunConfig, extra: dict[str, object], out: Path) -> None:
-    lines = {"command": cfg.command, "version": __version__, "seed": cfg.seed}
-    lines.update((key, getattr(cfg.hyper, field)) for key, field, _ in _HYPER_FIELDS)
+    """run_meta.txt: the command, its version, the seed and the
+    hyper-parameters when the command read them, then ``extra``."""
+    lines = {"command": cfg.command, "version": __version__}
+    if cfg.seed is not None:
+        lines["seed"] = cfg.seed
+    if cfg.hyper is not None:
+        lines.update((key, getattr(cfg.hyper, field)) for key, field, _ in _HYPER_FIELDS)
     lines.update(extra)
     with open(out / "run_meta.txt", "w", encoding="utf-8") as fh:
         for key, val in lines.items():
@@ -289,15 +303,12 @@ def cmd_evaluate(cfg: RunConfig) -> int:
                               "aggregate": aggregate}, stage)
     else:
         report.write_csv(sys.stdout)
-        print("seed=%d covers=%d" % (cfg.seed, len(runs)), file=sys.stderr)
+        print("covers=%d" % len(runs), file=sys.stderr)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    for key, _, cast in _HYPER_FIELDS:
-        common.add_argument("--" + key.replace("_", "-"), dest=key, type=cast,
-                            default=None)
     common.add_argument("--seed", type=int, default=None,
                         help="falls back to the config file, then DYNCOMM_SEED, then 0")
     common.add_argument("--out", default=None, help="output directory")
@@ -324,13 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="planted cover file; fills the nmi column")
     det.add_argument("--chains", type=int, default=None,
                      help="independent chains per snapshot; best modularity wins")
+    for key, _, cast in _HYPER_FIELDS:
+        det.add_argument("--" + key.replace("_", "-"), dest=key, type=cast, default=None)
 
-    ev = sub.add_parser("evaluate", parents=[common],
-                        help="score stored covers against a truth file")
+    ev = sub.add_parser("evaluate", help="score stored covers against a truth file")
     ev.add_argument("covers", nargs="+",
                     help="one or more cover files; several are averaged")
     ev.add_argument("--truth", required=True)
     ev.add_argument("--network", required=True)
+    ev.add_argument("--out", default=None, help="output directory")
     return parser
 
 

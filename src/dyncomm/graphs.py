@@ -42,11 +42,13 @@ class SnapshotGraph:
     integer arrays of them, and builds every array the sampler and the
     metrics read: ``nodes`` (the sorted distinct ids), ``edge_array`` (each
     edge's two positions in ``nodes``, in the given edge order) and
-    ``degree_array``.  They are read-only and nothing writes to the
-    instance afterwards, so one snapshot is safe to share across
-    concurrent sampler chains.  ``edges``, ``edge_set`` and ``degrees``
-    are tuple, set and dict views built on first use, for callers that
-    want Python objects; detection reads none of them.
+    ``degree_array``.  An endpoint outside ``nodes``, a self-loop or a pair
+    given twice, in either orientation, raises GraphFormatError.  The
+    arrays are read-only and nothing writes to the instance afterwards, so
+    one snapshot is safe to share across concurrent sampler chains.
+    ``edges``, ``edge_set`` and ``degrees`` are tuple, set and dict views
+    built on first use, for callers that want Python objects; detection
+    reads none of them.
     """
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]], t: int = 1):
@@ -54,9 +56,20 @@ class SnapshotGraph:
         self.nodes: np.ndarray = _frozen(np.unique(_int_array(nodes)))
         ends = _int_array(edges).reshape(-1, 2)
         idx = np.searchsorted(self.nodes, ends)
+        where = "SnapshotGraph(t=%d, n=%d, m=%d)" % (self.t, self.n, len(ends))
         if len(ends) and (not self.n or np.any(self.nodes.take(idx, mode="clip") != ends)):
-            raise GraphFormatError("SnapshotGraph(t=%d, n=%d, m=%d) has an edge endpoint "
-                                   "outside its nodes" % (self.t, self.n, len(ends)))
+            raise GraphFormatError("%s has an edge endpoint outside its nodes" % where)
+        # a simple graph: no loop, and each pair once in either orientation
+        lo, hi = np.minimum(*idx.T), np.maximum(*idx.T)
+        loops = np.flatnonzero(lo == hi)
+        if len(loops):
+            v = int(self.nodes[lo[loops[0]]])
+            raise GraphFormatError("%s has a self-loop (%d, %d)" % (where, v, v))
+        keys = np.sort(lo * self.n + hi)
+        twice = np.flatnonzero(keys[1:] == keys[:-1])
+        if len(twice):
+            u, v = self.nodes[list(divmod(int(keys[twice[0]]), self.n))].tolist()
+            raise GraphFormatError("%s has the pair (%d, %d) twice" % (where, u, v))
         self.edge_array: np.ndarray = _frozen(idx)
         self.degree_array: np.ndarray = _frozen(
             np.bincount(idx.ravel(), minlength=self.n).astype(np.float64))

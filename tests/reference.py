@@ -143,8 +143,8 @@ def edge_index(state, e) -> int:
 
 
 def row_of(state, cid: int) -> int:
-    """The row of community ``cid`` below the state's high-water mark."""
-    rows = np.flatnonzero(state._ids[:state._high] == cid)
+    """The row of community ``cid`` in the state."""
+    rows = np.flatnonzero(state._ids == cid)
     if len(rows) != 1:
         raise KeyError(cid)
     return int(rows[0])
@@ -168,12 +168,11 @@ def add_idx(state, a: int, cid: int) -> None:
 
 
 def seat_weights(state, a: int) -> np.ndarray:
-    """The seating weight of every row below the high-water mark for removed
-    edge index ``a``: (current + carried size) times the edge likelihood.  An
-    emptied row has seat count 0, so it weighs 0."""
-    high = state._high
+    """The seating weight of every row for removed edge index ``a``:
+    (current + carried size) times the edge likelihood.  An emptied row has
+    seat count 0, so it weighs 0."""
     i, j = state.graph.edge_array[a]
-    return state._seats[:high] * state._beta[i, :high] * state._beta[j, :high]
+    return state._seats * state._beta[i] * state._beta[j]
 
 
 def draw_for_edge(state, a: int) -> int:
@@ -216,7 +215,7 @@ def edge_weights(state, e) -> tuple[dict[int, float], float]:
     a = edge_index(state, e)
     if state._assign_row[a] >= 0:
         raise ValueError("edge %r must be removed before weighing" % (e,))
-    rows = np.flatnonzero(state._seats[:state._high] > 0)
+    rows = np.flatnonzero(state._seats > 0)
     w = seat_weights(state, a)
     return dict(zip(state._ids[rows].tolist(), w[rows].tolist())), state._new_w
 
@@ -225,8 +224,9 @@ def check_consistency(state, prev_counts: Mapping[int, int] | None) -> None:
     """Recount a ``SamplerState`` from its edge seating and the carried
     sizes ``prev_counts`` it was built with, and compare every array the
     sampler maintains with the recount; raises AssertionError on drift."""
-    high, rows = state._high, state._assign_row
-    ids = state._ids[:high]
+    high, rows, ids = len(state._ids), state._assign_row, state._ids
+    assert len(state._prev) == len(state._seats) == high, "a row array has the wrong length"
+    assert state._beta.shape == (state.n_nodes, high), "beta has the wrong shape"
     assert np.all((rows >= 0) & (rows < high)), "an edge is unseated"
     assert len(np.unique(ids)) == high, "a community id holds two rows"
     row_of = dict(zip(ids.tolist(), range(high)))
@@ -235,11 +235,11 @@ def check_consistency(state, prev_counts: Mapping[int, int] | None) -> None:
         if c > 0:
             assert r in row_of, "carried community %d was dropped" % r
             prev[row_of[r]] = c
-    assert np.array_equal(state._prev[:high], prev), "carried sizes drifted"
-    assert np.array_equal(state._seats[:high], np.bincount(rows, minlength=high) + prev), \
+    assert np.array_equal(state._prev, prev), "carried sizes drifted"
+    assert np.array_equal(state._seats, np.bincount(rows, minlength=high) + prev), \
         "seat counts drifted"
-    assert np.all(state._seats[:high] > 0), "an empty row is below the high-water mark"
-    beta = state._beta[:, :high]
+    assert np.all(state._seats > 0), "a row holds no seat"
+    beta = state._beta
     assert np.all(beta >= 0) and np.allclose(beta.sum(axis=0), 1.0, rtol=0, atol=1e-9), \
         "a beta row is off the simplex"
 

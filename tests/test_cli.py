@@ -141,6 +141,44 @@ def test_generate_rejects_bad_schedule(tmp_path):
     assert run_cli("generate", str(cfg), "--out", str(tmp_path / "z")) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--preset", "birthdeath-t2", "--alpha", "3"],
+    ["generate", "--preset", "birthdeath-t2", "--k0-divisor", "9"],
+    ["evaluate", "c.txt", "--truth", "t.txt", "--network", "n.txt", "--samples-first", "7"],
+    ["evaluate", "c.txt", "--truth", "t.txt", "--network", "n.txt", "--seed", "4"],
+], ids=["generate-alpha", "generate-k0", "evaluate-hyper", "evaluate-seed"])
+def test_a_flag_the_command_never_reads_is_a_usage_error(tmp_path, capsys, argv):
+    # generate --alpha 3 once exited 0 and wrote alpha=3.0 into run_meta.txt
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--out", str(out))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["alpha=4", "chains=3", "theta=0.5"])
+def test_generate_rejects_a_detect_config_key(tmp_path, capsys, key):
+    cfg = small_config(tmp_path)
+    cfg.write_text(cfg.read_text() + key + "\n")
+    out = tmp_path / "gen"
+    assert run_cli("generate", str(cfg), "--seed", "5", "--out", str(out)) == 1
+    assert "reads no config key " + key.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_meta_echoes_only_the_settings_a_command_reads(bench_dir, tmp_path):
+    gen = (bench_dir / "run_meta.txt").read_text()
+    assert "seed=5\n" in gen and "n=60\n" in gen
+    assert "alpha=" not in gen and "k0_divisor=" not in gen and "chains=" not in gen
+    out = tmp_path / "ev"
+    assert run_cli("evaluate", str(bench_dir / "truth.txt"),
+                   "--truth", str(bench_dir / "truth.txt"),
+                   "--network", str(bench_dir / "network.txt"), "--out", str(out)) == 0
+    ev = (out / "run_meta.txt").read_text()
+    assert "seed=" not in ev and "alpha=" not in ev and "samples_first=" not in ev
+
+
 # ---------------------------------------------------------------- seeds
 
 

@@ -125,6 +125,19 @@ def test_edge_array_rejects_dangling_endpoint():
             SnapshotGraph(nodes, [(0, 5)]).edge_array
 
 
+@pytest.mark.parametrize("edges, problem", [
+    ([(0, 1), (1, 0), (1, 2), (2, 2)], r"self-loop \(2, 2\)"),
+    ([(0, 1), (1, 2), (1, 0)], r"the pair \(0, 1\) twice"),
+    ([(7, 9), (9, 12), (7, 9)], r"the pair \(7, 9\) twice"),
+], ids=["loop", "reversed", "repeated"])
+def test_snapshot_graph_rejects_loops_and_repeated_pairs(edges, problem):
+    # (0, 1) and (1, 0) once made m=4 and degrees {0: 2, 1: 3, 2: 3} here
+    with pytest.raises(GraphFormatError, match=problem):
+        SnapshotGraph([0, 1, 2, 7, 9, 12], edges)
+    # either orientation of a single pair is the same edge
+    assert SnapshotGraph(range(3), [(1, 0), (2, 1)]).degrees == {0: 1, 1: 2, 2: 1}
+
+
 def test_degree_sum_is_twice_edge_count():
     rng = np.random.default_rng(7)
     for trial in range(20):

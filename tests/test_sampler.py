@@ -137,10 +137,10 @@ def test_new_table_beta_is_the_posterior_given_its_edge():
     g = SnapshotGraph(range(5), [(0, 1), (2, 4)])
     gamma = 0.5
     state = SamplerState(g, [0, 0], None, HyperParams(gamma=gamma), np.random.default_rng(17))
-    first = state._high
+    first = len(state._ids)
     for _ in range(4000):
         state._create_community(2, 4)
-    mean = state._beta[:, first:state._high].mean(axis=1)
+    mean = state._beta[:, first:].mean(axis=1)
     on, off = (1 + gamma) / (2 + 5 * gamma), gamma / (2 + 5 * gamma)
     assert np.allclose(mean, [off, off, on, off, on], atol=0.015)
 
@@ -318,7 +318,7 @@ def test_leave_one_out_restores_stats_after_row_retirement():
     add_idx(state, edge_index(state, (2, 3)), cid)
     state._compact()
     check_consistency(state, None)
-    assert state._high == 2 and 1 not in state.B
+    assert len(state._ids) == 2 and 1 not in state.B
     relabel = {0: 0, 1: cid}
     after = CommunityStats.from_assignment(state.G)
     assert after.n == {relabel[r]: n for r, n in before.n.items()}
@@ -341,17 +341,18 @@ def test_sweep_keeps_state_consistent():
 @pytest.mark.parametrize("prev_counts", [None, {3: 4, 1000: 2}])
 def test_every_row_below_the_mark_holds_seats_after_each_sweep(prev_counts):
     # every edge starts at a table of its own, so the first sweeps empty
-    # most rows; each sweep must end with none of them left below the mark
+    # most rows; each sweep must end with none of them left in the arrays
     rng = np.random.default_rng(31)
     g = random_graph(rng, 30, 120)
     state = SamplerState(g, np.arange(g.m), prev_counts, HyperParams(), rng)
-    start = state._high
+    start = len(state._ids)
     for _ in range(6):
         gibbs_sweep(state)
         held = len(set(state._ids[state._assign_row].tolist()) | set(prev_counts or {}))
-        assert state._high == held
-        assert np.all(state._seats[:state._high] > 0)
-    assert state._high < start // 2
+        assert len(state._ids) == len(state._prev) == len(state._seats) == held
+        assert state._beta.shape == (g.n, held)
+        assert np.all(state._seats > 0)
+    assert len(state._ids) < start // 2
 
 
 def test_sweep_consistency_with_carryover():
@@ -368,7 +369,7 @@ def test_sweep_consistency_with_carryover():
 
 
 def corrupt(state, kind):
-    last = state._high - 1
+    last = len(state._ids) - 1
     if kind == "seat count":
         state._seats[0] += 1.0
     elif kind == "empty row":
@@ -390,7 +391,7 @@ def test_check_consistency_catches_each_corruption(kind):
     prev_counts = {0: 5, 1: 2, 9: 4}
     state = SamplerState(g, assign, prev_counts, HyperParams(), rng)
     gibbs_sweep(state)
-    assert state._high >= 4
+    assert len(state._ids) >= 4
     check_consistency(state, prev_counts)
     corrupt(state, kind)
     with pytest.raises(AssertionError):
@@ -420,9 +421,9 @@ def test_beta_and_seating_stream_is_pinned():
     digest = hashlib.sha256()
 
     def take():
-        digest.update(state._ids[:state._high].tobytes())
+        digest.update(state._ids.tobytes())
         digest.update(state._ids[state._assign_row].tobytes())
-        digest.update(state._beta[:, :state._high].tobytes())
+        digest.update(state._beta.tobytes())
 
     take()
     state._create_community(*g.edge_array[0])
@@ -492,7 +493,7 @@ def reference_sweep(state, events=None):
         u = rng.random((3, len(block)))
         for k, a in enumerate(block):
             i, j = ends[a]
-            beta = state._beta  # a new table may have regrown it
+            beta = state._beta  # a new table replaces it
             fresh = state.alloc.high_water  # ids from here on are newly opened
             cum = np.cumsum(beta[i, rows] * beta[j, rows] * env)
             total = float(cum[-1]) + state._new_w
@@ -543,7 +544,7 @@ def reference_sweep(state, events=None):
 def seat_counts(state):
     """Every row's current plus carried size, recounted from the seating."""
     seated = state._assign_row[state._assign_row >= 0]
-    return np.bincount(seated, minlength=state._high) + state._prev[:state._high]
+    return np.bincount(seated, minlength=len(state._ids)) + state._prev
 
 
 def exact_draw(state, i, j, events):
@@ -587,13 +588,13 @@ def run_twins(fast, slow, sweeps, events=None, prev_counts=None):
     """Sweep both states side by side, asserting they stay identical and
     that ``gibbs_sweep`` starts as many blocks and makes as many exact
     draws as ``reference_sweep``, whose events are added to ``events``;
-returns (tables opened, rows emptied and dropped, grew past the first cap)."""
-    cap, first_high = fast._cap, fast.alloc.high_water
+    returns (tables opened, rows emptied and dropped)."""
+    first_id = fast.alloc.high_water
     seen = Counter()
     rng, fast.rng = fast.rng, CountingRng(fast.rng)
     dropped = 0
     for _ in range(sweeps):
-        before = set(fast._ids[:fast._high].tolist())
+        before = set(fast._ids.tolist())
         gibbs_sweep(fast)
         reference_sweep(slow, seen)
         assert fast.G == slow.G
@@ -603,13 +604,13 @@ returns (tables opened, rows emptied and dropped, grew past the first cap)."""
         assert fast._assign_row.dtype == slow._assign_row.dtype == np.int64
         check_consistency(fast, prev_counts)
         check_consistency(slow, prev_counts)
-        dropped += len(before - set(fast._ids[:fast._high].tolist()))
+        dropped += len(before - set(fast._ids.tolist()))
     assert fast.rng.calls["block"] == seen["block"]
     assert fast.rng.calls["redraw"] == seen["redraw"]
     fast.rng = rng
     if events is not None:
         events.update(seen)
-    return fast.alloc.high_water - first_high, dropped, fast._cap > cap
+    return fast.alloc.high_water - first_id, dropped
 
 
 @st.composite
@@ -636,49 +637,41 @@ def test_seating_view_sweep_matches_the_gather_form(case):
 
 
 @pytest.mark.parametrize("prev_counts", [None, {0: 3, 9: 2}])
-def test_seating_view_twins_open_release_and_grow(prev_counts):
-    # a witness that the equivalence above covers newborn tables, rows that
-    # empty and are dropped, and a regrown array, with and without
-    # carried-over sizes
+def test_seating_view_twins_open_and_release(prev_counts):
+    # a witness that the equivalence above covers newborn tables and rows
+    # that empty and are dropped, with and without carried-over sizes
     rng = np.random.default_rng(3)
     g = random_graph(rng, 12, 40)
     labels = rng.integers(0, 2, size=g.m)
     fast, slow = twin_states(g, labels, prev_counts, HyperParams(alpha=50.0), seed=8)
-    opened, dropped, grew = run_twins(fast, slow, sweeps=8, prev_counts=prev_counts)
-    assert opened > 0 and dropped > 0 and grew
+    opened, dropped = run_twins(fast, slow, sweeps=8, prev_counts=prev_counts)
+    assert opened > 0 and dropped > 0
 
 
-def test_seating_view_twins_grow_in_mid_sweep():
-    # alpha = 50 on one starting community of cap 8: every sweep opens
-    # tables, and a sweep outgrows the first cap with a row already emptied
-    # and edges still to seat, so it must read the regrown arrays from then
-    # on and compact rows in them
+def test_seating_view_twins_open_after_a_row_empties():
+    # alpha = 50 on one starting community: every sweep opens tables, and
+    # a sweep opens one with a row already emptied and another table still
+    # to open, so it must read the new arrays from then on and compact
+    # rows in them
     rng = np.random.default_rng(3)
     g = random_graph(rng, 12, 40)
     fast, slow = twin_states(g, np.zeros(g.m, dtype=np.int64), None,
                              HyperParams(alpha=50.0), seed=6)
-    events: list[str] = []
+    emptied: list[bool] = []  # per opening, whether a row had emptied
     create = fast._create_community
 
     def logged_create(i, j):
-        cap = fast._cap
-        if np.any(fast._seats[:fast._high] == 0.0):
-            events.append("emptied")
-        cid = create(i, j)
-        events.append("grow" if fast._cap > cap else "open")
-        return cid
+        emptied.append(bool(np.any(fast._seats == 0.0)))
+        return create(i, j)
 
     fast._create_community = logged_create
     per_sweep = []
     for _ in range(4):
-        events.clear()
+        emptied.clear()
         run_twins(fast, slow, sweeps=1)
-        per_sweep.append(list(events))
-    assert all("open" in ev for ev in per_sweep)
-    grew = [ev for ev in per_sweep if "grow" in ev]
-    assert grew
-    assert any("emptied" in ev[:ev.index("grow") + 1] and "open" in ev[ev.index("grow") + 1:]
-               for ev in grew)
+        per_sweep.append(list(emptied))
+    assert all(per_sweep)
+    assert any(any(ev[:-1]) for ev in per_sweep)
 
 
 def test_seating_view_twins_end_blocks_each_way():
@@ -693,9 +686,8 @@ def test_seating_view_twins_end_blocks_each_way():
     fast, slow = twin_states(g, rng.integers(0, 4, size=g.m), None, HyperParams(), seed=5)
     for state in (fast, slow):
         state._new_w = 0.0
-        live = slice(0, state._high)
-        state._beta[0, live] = 0.0
-        state._beta[:, live] /= state._beta[:, live].sum(axis=0)
+        state._beta[0] = 0.0
+        state._beta /= state._beta.sum(axis=0)
     events = Counter()
     run_twins(fast, slow, sweeps=3, events=events)
     assert events["raise"] > 0 and events["raised2"] > 0 and events["mixture"] > 0
