@@ -8,9 +8,17 @@ Run:  python3 demos/static_recovery.py
 """
 from __future__ import annotations
 
+from collections import Counter
+
 from dyncomm import GenConfig, HyperParams, generate_dynamic, overlapping_nmi
 from dyncomm.membership import select_best
 from dyncomm.sampler import sweep_records
+
+
+def bridges(cover):
+    """The nodes that sit in more than one community of ``cover``."""
+    counts = Counter(i for members in cover.communities.values() for i in members)
+    return sorted(i for i, c in counts.items() if c > 1)
 
 
 def main():
@@ -36,10 +44,8 @@ def main():
     print("overlap NMI against the planted cover: %.3f" % nmi)
     print()
 
-    counts = cover.membership_counts()
-    found_bridges = sorted(i for i, c in counts.items() if c > 1)
-    true_bridges = sorted(i for i, c in planted.membership_counts().items()
-                          if c > 1)
+    found_bridges = bridges(cover)
+    true_bridges = bridges(planted)
     print("planted bridge nodes:  ", true_bridges)
     print("detected bridge nodes: ", found_bridges)
     both = set(found_bridges) & set(true_bridges)

@@ -64,6 +64,8 @@ class GenConfig:
             raise GenError("avg_degree target exceeds a simple graph's capacity")
         if self.max_degree is not None and self.max_degree < 1:
             raise GenError("max_degree must be positive when given")
+        if self.seed < 0:
+            raise GenError("seed must be a non-negative integer, got %r" % (self.seed,))
 
 
 @dataclass(frozen=True)

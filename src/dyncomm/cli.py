@@ -1,8 +1,8 @@
 """Batch front end for benchmark generation, detection, and evaluation.
 
 Three subcommands share one configuration story: an optional key=value
-config file, command-line flags that win over it, and DYNCOMM_SEED as the
-seed of last resort.  Each command takes only the flags and keys it reads:
+config file, command-line flags that win over it, and seed 0 when neither
+gives one.  Each command takes only the flags and keys it reads:
 ``generate`` the seed, a schedule and the generator's keys, ``detect`` the
 seed, the chain count and the hyper-parameters, and ``evaluate`` neither a
 seed nor a config file.  Outputs are plain text (edge lists, cover files,
@@ -40,7 +40,6 @@ _HYPER_FIELDS = (
     ("theta", "theta", float),
     ("samples_first", "s_first", int),
     ("samples_later", "s_later", int),
-    ("k0_divisor", "k0_divisor", int),
 )
 _GEN_FIELDS = (
     ("n", "n", int),
@@ -106,16 +105,14 @@ def _cast(filecfg: dict[str, str], key: str, cast):
 
 def _resolve_seed(args, filecfg: dict[str, str]) -> int:
     if args.seed is not None:
-        return args.seed
-    if "seed" in filecfg:
-        return _cast(filecfg, "seed", int)
-    env = os.environ.get("DYNCOMM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError("DYNCOMM_SEED=%r is not an integer" % env) from None
-    return 0
+        seed, source = args.seed, "--seed "
+    elif "seed" in filecfg:
+        seed, source = _cast(filecfg, "seed", int), "config key seed="
+    else:
+        return 0
+    if seed < 0:
+        raise ValueError("%s%d: the seed must be a non-negative integer" % (source, seed))
+    return seed
 
 
 def _resolve_hyper(args, filecfg: dict[str, str]) -> HyperParams:
@@ -310,7 +307,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
-                        help="falls back to the config file, then DYNCOMM_SEED, then 0")
+                        help="a non-negative integer; falls back to the config "
+                             "file, then 0")
     common.add_argument("--out", default=None, help="output directory")
 
     parser = argparse.ArgumentParser(prog="dyncomm",

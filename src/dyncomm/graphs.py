@@ -46,9 +46,8 @@ class SnapshotGraph:
     given twice, in either orientation, raises GraphFormatError.  The
     arrays are read-only and nothing writes to the instance afterwards, so
     one snapshot is safe to share across concurrent sampler chains.
-    ``edges``, ``edge_set`` and ``degrees`` are tuple, set and dict views
-    built on first use, for callers that want Python objects; detection
-    reads none of them.
+    ``edges`` and ``degrees`` are tuple and dict views built on first use,
+    for callers that want Python objects; detection reads neither.
     """
 
     def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]], t: int = 1):
@@ -90,10 +89,6 @@ class SnapshotGraph:
     @cached_property
     def degrees(self) -> dict[int, int]:
         return dict(zip(self.nodes.tolist(), self.degree_array.astype(np.int64).tolist()))
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
 
     def __repr__(self) -> str:
         return "SnapshotGraph(t=%d, n=%d, m=%d)" % (self.t, self.n, self.m)

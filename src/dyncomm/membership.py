@@ -9,7 +9,6 @@ K x N arrays; only ``extract_cover`` builds the sets of a ``Cover``.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -33,10 +32,6 @@ class Cover:
 
     def covered_nodes(self) -> set[int]:
         return set().union(*self.communities.values())
-
-    def membership_counts(self) -> dict[int, int]:
-        """O_i: how many communities contain each covered node."""
-        return dict(Counter(i for members in self.communities.values() for i in members))
 
 
 def soft_membership_from_arrays(sizes: np.ndarray, beta: np.ndarray, m: int) -> np.ndarray:

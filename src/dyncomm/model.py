@@ -45,9 +45,9 @@ class HyperParams:
         Gibbs samples to retain on the first snapshot.
     s_later : int
         Gibbs samples to retain on every later snapshot.
-    k0_divisor : int
-        First-snapshot initialization spreads edges over
-        ``max(1, n_nodes // k0_divisor)`` communities.
+
+    The first snapshot's starting community count is fixed, not set here
+    (``_K0_DIVISOR`` in ``sampler.py``).
     """
 
     alpha: float = 0.1
@@ -55,7 +55,6 @@ class HyperParams:
     theta: float = 0.7
     s_first: int = 100
     s_later: int = 50
-    k0_divisor: int = 5
 
     def __post_init__(self):
         for name in ("alpha", "gamma"):
@@ -64,7 +63,7 @@ class HyperParams:
                                  % (name, getattr(self, name)))
         if not 0 < self.theta <= 1:
             raise ValueError("theta must be in (0, 1], got %r" % (self.theta,))
-        for name in ("s_first", "s_later", "k0_divisor"):
+        for name in ("s_first", "s_later"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError("%s must be a positive integer, got %r" % (name, value))

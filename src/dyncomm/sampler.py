@@ -162,10 +162,13 @@ class SamplerState:
         The chain's random stream; every move draws from it.
     """
 
-    def __init__(self, graph: SnapshotGraph,
-                 assignment: Sequence[int] | Mapping[EdgeKey, int],
+    def __init__(self, graph: SnapshotGraph, assignment: Sequence[int] | np.ndarray,
                  prev_counts: Mapping[int, int] | None, hyper: HyperParams,
                  rng: np.random.Generator, alloc: CommunityIdAllocator | None = None):
+        """Seat each edge of ``graph`` at ``assignment``'s community id, one
+        id per edge in ``edge_array`` order, beside the carried sizes
+        ``prev_counts`` (community id -> previous snapshot's size), and
+        draw every row's beta from its posterior."""
         self.graph = graph
         self.hyper = hyper
         self.rng = rng
@@ -177,10 +180,6 @@ class SamplerState:
         g0 = self.n_nodes * hyper.gamma
         self._new_w = hyper.alpha * hyper.gamma * hyper.gamma / (g0 * (g0 + 1.0))
 
-        # one community id per edge, in edge_array order, or a mapping from
-        # each edge's endpoint ids to its community id
-        if isinstance(assignment, Mapping):
-            assignment = [assignment[e] for e in graph.edges]
         labels = np.asarray(assignment, dtype=np.int64)
         if labels.shape != (self.m,):
             raise ValueError("%d community ids for %d edges" % (labels.size, self.m))
@@ -207,11 +206,11 @@ class SamplerState:
 
     def _compact(self) -> None:
         """Drop the rows that emptied since the last compaction, keeping the
-        others in their order, so that every row holds seats again."""
+        others in their order, so that every row holds seats again.  Beta
+        keeps its old columns: the redraw that follows sizes it."""
         live = self._seats > 0.0
         self._ids, self._prev, self._seats = (self._ids[live], self._prev[live],
                                               self._seats[live])
-        self._beta = self._beta[:, live]
         self._assign_row = (np.cumsum(live) - 1)[self._assign_row]
 
     def _node_counts(self) -> np.ndarray:
@@ -289,14 +288,21 @@ def _as_rng(seed) -> np.random.Generator:
 # -------------------------------------------------------------- initialization
 
 
+# the first snapshot starts from one table per _K0_DIVISOR nodes.  It is
+# fixed, not a setting: the sampler finds the number of communities by
+# opening and closing tables, and a start tuned to a guessed count would be
+# the prior knowledge of it that the model does without.
+_K0_DIVISOR = 5
+
+
 def init_assignments_first(g: SnapshotGraph, hyper: HyperParams, seed,
                            alloc: CommunityIdAllocator | None = None) -> np.ndarray:
     """Every edge's community id, in ``edge_array`` order: uniform random
-    over max(1, N // k0_divisor) starting communities; communities that
+    over max(1, N // _K0_DIVISOR) starting communities; communities that
     receive no edge are simply never born."""
     rng = _as_rng(seed)
     alloc = alloc if alloc is not None else CommunityIdAllocator()
-    k0 = max(1, g.n // hyper.k0_divisor)
+    k0 = max(1, g.n // _K0_DIVISOR)
     pool = np.array([alloc.fresh() for _ in range(k0)], dtype=np.int64)
     return pool[rng.integers(0, k0, size=g.m)]
 
@@ -624,6 +630,6 @@ def _usable_cpus() -> int:
 
 
 def _seed_root(seed) -> int:
-    if isinstance(seed, (int, np.integer)):
+    if isinstance(seed, (int, np.integer)) and seed >= 0:
         return int(seed)
-    raise ValueError("detect_dynamic needs an integer seed, got %r" % (seed,))
+    raise ValueError("detect_dynamic needs a non-negative integer seed, got %r" % (seed,))

@@ -20,9 +20,10 @@ Only the tests need them.  ``CommunityStats`` holds the per-community
 sizes and endpoint counts of a seating that ``crp_weights`` and
 ``rcrp_weights`` weigh, and ``check_consistency`` recounts a state from
 its seating and carried sizes.  ``edge_key`` gives an edge's canonical
-form, and ``validate`` lists every way a ``SnapshotGraph`` breaks the
-invariants that ``load_dynamic`` and the generator must keep, edge by
-edge.
+form, ``edge_set`` a snapshot's edges as a set and ``membership_counts``
+how many communities of a cover hold each node, and ``validate`` lists
+every way a ``SnapshotGraph`` breaks the invariants that ``load_dynamic``
+and the generator must keep, edge by edge.
 
 The last three are earlier forms of production code, kept as oracles:
 ``init_assignments_carry_dict`` carries a seating over through a dict
@@ -252,6 +253,16 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
     if u == v:
         raise GraphFormatError("self-loop (%d, %d) is not a valid edge" % (u, v))
     return (u, v) if u < v else (v, u)
+
+
+def edge_set(g: SnapshotGraph) -> frozenset[tuple[int, int]]:
+    """The endpoint id pairs of g's edges, as a set."""
+    return frozenset(g.edges)
+
+
+def membership_counts(cover: Cover) -> dict[int, int]:
+    """O_i: how many communities of ``cover`` contain each covered node."""
+    return dict(Counter(i for members in cover.communities.values() for i in members))
 
 
 def validate(g: SnapshotGraph) -> list[str]:

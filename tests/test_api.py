@@ -1,9 +1,12 @@
+import argparse
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import dyncomm
+from dyncomm.cli import _CONFIG_KEYS, build_parser
 
 PUBLIC_API = [
     "Cover", "DynamicNetwork", "Event", "GenConfig",
@@ -26,6 +29,36 @@ def test_public_api_is_pinned():
     assert sorted(dyncomm.__all__) == PUBLIC_API
     for name in dyncomm.__all__:
         assert getattr(dyncomm, name) is not None
+
+
+SETTINGS = {
+    "HyperParams": ["alpha", "gamma", "theta", "s_first", "s_later"],
+    "GenConfig": ["n", "k", "overlap_nodes", "memberships_per_overlap", "mixing",
+                  "avg_degree", "max_degree", "t", "churn", "seed"],
+    "generate flags": ["--out", "--preset", "--seed"],
+    "generate keys": ["avg_degree", "churn", "k", "max_degree", "mixing", "n", "om",
+                      "on", "schedule", "seed", "t"],
+    "detect flags": ["--alpha", "--chains", "--gamma", "--out", "--samples-first",
+                     "--samples-later", "--seed", "--theta", "--truth"],
+    "detect keys": ["alpha", "chains", "gamma", "samples_first", "samples_later",
+                    "seed", "theta"],
+    "evaluate flags": ["--network", "--out", "--truth"],
+}
+
+
+def test_settable_surface_is_pinned():
+    # a new setting must show up as an edit of this table
+    (commands,) = [a.choices for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    found = {name: [f.name for f in dataclasses.fields(cls)]
+             for name, cls in [("HyperParams", dyncomm.HyperParams),
+                               ("GenConfig", dyncomm.GenConfig)]}
+    for command, sub in commands.items():
+        found[command + " flags"] = sorted(opt for a in sub._actions for opt in a.option_strings
+                                           if opt not in ("-h", "--help"))
+    for command, keys in _CONFIG_KEYS.items():
+        found[command + " keys"] = sorted(keys)
+    assert found == SETTINGS
 
 
 STARTUP = """\

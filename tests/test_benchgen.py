@@ -22,7 +22,7 @@ from dyncomm.benchgen import (
     preset,
 )
 from dyncomm.membership import Cover
-from reference import generate_snapshot_per_attempt, validate
+from reference import generate_snapshot_per_attempt, membership_counts, validate
 
 
 def membership_map(cover):
@@ -64,6 +64,13 @@ def test_config_rejects_a_non_positive_or_non_finite_avg_degree(value):
         GenConfig(n=100, k=4, avg_degree=value)
 
 
+def test_config_rejects_a_negative_seed():
+    # a negative seed once passed here and failed in the generator with
+    # numpy's bare "expected non-negative integer"
+    with pytest.raises(GenError, match="seed must be a non-negative integer, got -1"):
+        GenConfig(n=100, k=4, seed=-1)
+
+
 def test_overlap_free_config_allows_small_k():
     cfg = GenConfig(n=100, k=1, overlap_nodes=0)
     assert cfg.memberships_per_overlap == 2
@@ -80,7 +87,7 @@ def test_plant_splits_single_and_overlap_nodes():
     cover = truth.covers[0]
     assert truth.k_series == [10]
     assert cover.covered_nodes() == set(range(500))
-    counts = cover.membership_counts()
+    counts = membership_counts(cover)
     singles = [i for i in range(500) if counts[i] == 1]
     overlaps = [i for i in range(500) if counts[i] == 3]
     assert len(singles) == 480
@@ -94,7 +101,7 @@ def test_plant_balances_single_memberships():
                         seed=trial)
         rng = np.random.default_rng(cfg.seed)
         cover = plant_memberships(cfg, rng).covers[0]
-        counts = cover.membership_counts()
+        counts = membership_counts(cover)
         per_comm = []
         for cid, members in cover.communities.items():
             per_comm.append(sum(1 for i in members if counts[i] == 1))
@@ -168,7 +175,7 @@ def test_overlap_nodes_collect_more_edges():
     rng = np.random.default_rng(cfg.seed)
     truth = plant_memberships(cfg, rng)
     g = generate_snapshot(truth.covers[0], cfg, rng)
-    counts = truth.covers[0].membership_counts()
+    counts = membership_counts(truth.covers[0])
     deg_overlap = np.mean([g.degrees[i] for i in range(300) if counts[i] == 3])
     deg_single = np.mean([g.degrees[i] for i in range(300) if counts[i] == 1])
     assert deg_overlap > deg_single

