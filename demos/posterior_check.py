@@ -56,7 +56,7 @@ def main():
         print("  p=%.3f  labels=%s" % (exact[idx], partitions[idx]))
 
     seed = 11
-    state = SamplerState(g, init_assignments_first(g, hyper, seed), None,
+    state = SamplerState(g, init_assignments_first(g, seed), None,
                          hyper, np.random.default_rng(seed))
     counts = Counter()
     burn = 2000

@@ -102,9 +102,9 @@ def save_covers(path, covers: Mapping[int, Cover]) -> None:
 
 def load_covers(path) -> dict[int, Cover]:
     """Inverse of save_covers; tolerates comments and blank lines.  A line
-    that is not three integers and a finite, non-negative u, or that names
-    a (t, community, node) an earlier line named, raises naming file and
-    line."""
+    that is not a snapshot index t >= 1, a community and a node id >= 0 and
+    a finite, non-negative u, or that names a (t, community, node) an
+    earlier line named, raises naming file and line."""
     out: dict[int, Cover] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -114,12 +114,13 @@ def load_covers(path) -> dict[int, Cover]:
             try:
                 t, r, i, w = line.split()
                 t, r, i, w = int(t), int(r), int(i), float(w)
-                ok = 0.0 <= w < math.inf
+                ok = t >= 1 and r >= 0 and i >= 0 and 0.0 <= w < math.inf
             except ValueError:  # a wrong token count or an unreadable token
                 ok = False
             if not ok:
-                raise ValueError("%s line %d: expected 't community node u' with a "
-                                 "finite u >= 0, got %r" % (path, lineno, raw.rstrip("\n")))
+                raise ValueError("%s line %d: expected 't community node u' with t >= 1, "
+                                 "ids >= 0 and a finite u >= 0, got %r"
+                                 % (path, lineno, raw.rstrip("\n")))
             cover = out.setdefault(t, Cover())
             if (i, r) in cover.weights:
                 raise ValueError("%s line %d: t=%d community %d node %d is given twice"

@@ -16,8 +16,9 @@ ends, and each sweep ends by replacing every array with its rows that
 hold seats, so between sweeps every row holds seats.  A new table appends
 a row, that is, new arrays one row longer.  That copy costs nothing
 measurable because tables rarely open: a traced ``birthdeath-t2`` detect
-opens 7 in 405,000 edge visits.  Community ids stay monotone and are
-never reused.
+opens 7 in 405,000 edge visits.  A new table takes the state's
+``next_id`` and counts it up, so within a chain no id names two
+communities.
 
 ``gibbs_sweep`` is the only code that seats edges.  It draws each edge
 from its exact Gibbs conditional, ``seats * beta_i * beta_j`` for every row
@@ -62,9 +63,10 @@ old and new pairs together.
 ``detect_dynamic`` fits each snapshot with independent chains and runs
 them in parallel, up to the CPUs this process may use: the calling
 process fits a share of the chains itself and worker processes fit the
-rest.  Each chain draws from its own seed and takes fresh community ids
-from its own allocator, so a seed gives the same bytes for any number of
-CPUs.
+rest.  Each chain draws from its own seed, and every chain of a snapshot
+takes new ids from the same ``first_id``: one past every id output so far.
+So an output id never names a different community later, and a seed
+gives the same bytes for any number of CPUs.
 """
 from __future__ import annotations
 
@@ -83,26 +85,6 @@ from .membership import (Cover, extract_cover, selection_key,
 from .membership import select_best  # noqa: F401  perfbench/spans.py wraps it here
 from .metrics import extended_modularity
 from .model import EdgeKey, HyperParams
-
-
-class CommunityIdAllocator:
-    """Hands out community ids 0, 1, 2, ...; retired ids are never reused."""
-
-    def __init__(self, start: int = 0):
-        self._next = int(start)
-
-    def fresh(self) -> int:
-        out = self._next
-        self._next += 1
-        return out
-
-    def reserve_through(self, cid: int) -> None:
-        """Make sure ``fresh`` never returns anything at or below ``cid``."""
-        self._next = max(self._next, int(cid) + 1)
-
-    @property
-    def high_water(self) -> int:
-        return self._next
 
 
 @dataclass
@@ -160,19 +142,22 @@ class SamplerState:
         The hyper-parameters of every draw and record the state makes.
     rng : np.random.Generator
         The chain's random stream; every move draws from it.
+    next_id : int
+        The id the next new table takes.
     """
 
     def __init__(self, graph: SnapshotGraph, assignment: Sequence[int] | np.ndarray,
                  prev_counts: Mapping[int, int] | None, hyper: HyperParams,
-                 rng: np.random.Generator, alloc: CommunityIdAllocator | None = None):
+                 rng: np.random.Generator, first_id: int = 0):
         """Seat each edge of ``graph`` at ``assignment``'s community id, one
         id per edge in ``edge_array`` order, beside the carried sizes
         ``prev_counts`` (community id -> previous snapshot's size), and
-        draw every row's beta from its posterior."""
+        draw every row's beta from its posterior.  A new table takes the
+        id ``next_id``, which starts at ``first_id`` or past every id given,
+        whichever is higher, and counts up, so no id is handed out twice."""
         self.graph = graph
         self.hyper = hyper
         self.rng = rng
-        self.alloc = alloc if alloc is not None else CommunityIdAllocator()
         self.n_nodes = graph.n
         self.m = graph.m
         # a brand-new community weighs alpha * gamma^2 / (gamma0 * (gamma0 + 1)),
@@ -192,9 +177,7 @@ class SamplerState:
         self._ids = np.array(row_ids, dtype=np.int64)
         self._prev = np.zeros(rows, dtype=np.int64)
         self._prev[:len(carried)] = list(carried.values())
-        # ids flowing in from outside (loaded assignments, carried summaries)
-        # must push the allocator forward or a later "fresh" id could collide
-        self.alloc.reserve_through(max(row_ids, default=-1))
+        self.next_id = max(first_id, max(row_ids, default=-1) + 1)
         row_of = dict(zip(row_ids, range(rows)))
         self._assign_row = np.array([row_of[r] for r in ids.tolist()],
                                     dtype=np.int64)[inverse]
@@ -223,10 +206,12 @@ class SamplerState:
     # ---------------------------------------------------------------- moves
 
     def _create_community(self, i: int, j: int) -> int:
-        """Open a table with a fresh id in a new last row for the edge at
-        node positions ``i`` and ``j``, its beta drawn from Dirichlet(gamma +
-        e_i + e_j); return its id.  Every row array is replaced."""
-        cid = self.alloc.fresh()
+        """Open a table with the id ``next_id`` in a new last row for the
+        edge at node positions ``i`` and ``j``, its beta drawn from
+        Dirichlet(gamma + e_i + e_j); return its id.  Every row array is
+        replaced."""
+        cid = self.next_id
+        self.next_id += 1
         shape = np.full((1, self.n_nodes), self.hyper.gamma)
         shape[0, i] += 1.0
         shape[0, j] += 1.0
@@ -295,29 +280,22 @@ def _as_rng(seed) -> np.random.Generator:
 _K0_DIVISOR = 5
 
 
-def init_assignments_first(g: SnapshotGraph, hyper: HyperParams, seed,
-                           alloc: CommunityIdAllocator | None = None) -> np.ndarray:
+def init_assignments_first(g: SnapshotGraph, seed) -> np.ndarray:
     """Every edge's community id, in ``edge_array`` order: uniform random
-    over max(1, N // _K0_DIVISOR) starting communities; communities that
-    receive no edge are simply never born."""
-    rng = _as_rng(seed)
-    alloc = alloc if alloc is not None else CommunityIdAllocator()
-    k0 = max(1, g.n // _K0_DIVISOR)
-    pool = np.array([alloc.fresh() for _ in range(k0)], dtype=np.int64)
-    return pool[rng.integers(0, k0, size=g.m)]
+    over the ids 0 ... k0 - 1 of k0 = max(1, N // _K0_DIVISOR) starting
+    communities; communities that receive no edge are simply never born."""
+    return _as_rng(seed).integers(0, max(1, g.n // _K0_DIVISOR), size=g.m)
 
 
-def init_assignments_carry(g: SnapshotGraph, prev: PrevSummary, hyper: HyperParams,
-                           seed, alloc: CommunityIdAllocator | None = None) -> np.ndarray:
+def init_assignments_carry(g: SnapshotGraph, prev: PrevSummary, seed) -> np.ndarray:
     """Every edge's community id, in ``edge_array`` order.  An edge whose
     endpoint pair ``prev`` holds keeps its previous community; the new
     edges, in edge order, go uniformly to one of the previously live
-    communities (or one fresh community when there were none)."""
+    communities.  ``prev`` must seat at least one edge."""
     rng = _as_rng(seed)
     live_prev = np.unique(prev.labels)
     if not len(live_prev):
-        alloc = alloc if alloc is not None else CommunityIdAllocator()
-        live_prev = np.array([alloc.fresh()], dtype=np.int64)
+        raise ValueError("cannot carry over a summary that seats no edge")
     src = _match_pairs(prev.ends, g.nodes[g.edge_array])
     new = src < 0
     labels = np.empty(g.m, dtype=np.int64)
@@ -486,34 +464,35 @@ def gibbs_sweep(state: SamplerState) -> SamplerState:
 
 
 def sweep_records(g: SnapshotGraph, prev: PrevSummary | None, hyper: HyperParams,
-                  seed, alloc: CommunityIdAllocator | None = None) -> Iterator[SampleRecord]:
+                  seed, first_id: int = 0) -> Iterator[SampleRecord]:
     """Fit one snapshot and yield every retained sweep's SampleRecord as
-    soon as the sweep ends, for callers that score every sweep."""
+    soon as the sweep ends, for callers that score every sweep.  A first
+    snapshot's starting communities take the ids from ``first_id`` on, and
+    a new table the next id past ``first_id`` and every id it starts from."""
     rng = _as_rng(seed)
-    alloc = alloc if alloc is not None else CommunityIdAllocator()
     if g.m == 0:
         yield SampleRecord(0, np.empty(0, dtype=np.int64), (), np.empty(0, dtype=np.int64),
                            np.zeros((0, g.n)), 0.0, g.nodes, hyper.theta)
         return
     if prev is None:
-        labels = init_assignments_first(g, hyper, rng, alloc)
+        labels = init_assignments_first(g, rng) + first_id
         prev_counts: dict[int, int] = {}
     else:
-        labels = init_assignments_carry(g, prev, hyper, rng, alloc)
+        labels = init_assignments_carry(g, prev, rng)
         prev_counts = prev.counts
-    state = SamplerState(g, labels, prev_counts, hyper, rng, alloc)
+    state = SamplerState(g, labels, prev_counts, hyper, rng, first_id)
     for sweep_index in range(hyper.s_first if prev is None else hyper.s_later):
         gibbs_sweep(state)
         yield state.record(sweep_index)
 
 
 def run_snapshot(g: SnapshotGraph, prev: PrevSummary | None, hyper: HyperParams,
-                 seed, alloc: CommunityIdAllocator | None = None) -> list[SampleRecord]:
+                 seed, first_id: int = 0) -> list[SampleRecord]:
     """Fit one snapshot and return its selected sweep in a list of one: the
     record with the best extended modularity, a later sweep winning a tie,
     as in ``select_best``.  The records are folded as they come, so only
     the best so far and the newest are alive at any time."""
-    return [max(sweep_records(g, prev, hyper, seed, alloc), key=selection_key)]
+    return [max(sweep_records(g, prev, hyper, seed, first_id), key=selection_key)]
 
 
 @dataclass
@@ -545,14 +524,15 @@ def detect_dynamic(net: DynamicNetwork, hyper: HyperParams | None = None,
     others, so the workers start up while this process is already
     sampling.  With ``w == 1`` every chain runs in this process and no pool
     starts.  Chain ``c`` of snapshot ``pos`` draws from ``[seed, pos, c]``
-    and takes fresh ids from its own allocator, started where the previous
-    snapshot's winner stopped, so a seed gives the same result for any
-    number of CPUs.  An exception raised in a chain, in this process or in
-    a worker, reaches the caller.  The workers are forked on Linux when
-    this process runs no other thread.  Otherwise they are started with
-    ``spawn`` and import the caller's main module again, so on other
-    platforms a script that runs several chains keeps its top-level work
-    under ``if __name__ == "__main__":``.
+    and takes new ids from one past every id that an earlier snapshot's
+    winner holds, so an id in the output never names a different community
+    later, and a seed gives the same result for any number of CPUs.  An
+    exception raised in a chain, in this process or in a worker, reaches
+    the caller.  The workers are forked on Linux when this process runs no
+    other thread.  Otherwise they are started with ``spawn`` and import the
+    caller's main module again, so on other platforms a script that runs
+    several chains keeps its top-level work under ``if __name__ ==
+    "__main__":``.
     """
     hyper = hyper if hyper is not None else HyperParams()
     if chains < 1:
@@ -593,9 +573,12 @@ def _detect(net: DynamicNetwork, hyper: HyperParams, root: int, chains: int,
     for pos, g in enumerate(net):
         fit = partial(_fit_chain, g, prev, hyper, root, pos, high)
         # the first best fit wins, so a tie keeps the lowest chain
-        c, (rec, high) = max(enumerate(map_chains(fit, range(chains))),
-                             key=lambda f: f[1][0].modularity)
+        c, rec = max(enumerate(map_chains(fit, range(chains))),
+                     key=lambda f: f[1].modularity)
         results.append(SnapshotResult(g.t, g, rec.cover, rec.modularity, c))
+        # every id output so far stays below ``high``: a new table never
+        # takes one, even after its community has died
+        high = max(high, max(rec.ids, default=-1) + 1)
         if g.m:
             prev = PrevSummary.from_record(rec, g)
     return results
@@ -612,14 +595,12 @@ def _fit_shared(pool, workers: int, fit, chains: range) -> list:
 
 
 def _fit_chain(g: SnapshotGraph, prev: PrevSummary | None, hyper: HyperParams,
-               root: int, pos: int, high: int,
-               chain: int) -> tuple[SampleRecord, int]:
-    """Fit chain ``chain`` of snapshot ``pos`` with fresh ids from ``high``
-    on; return its best sweep's record, without a cover, and the chain's id
-    high-water mark.  Runs in a worker process for the chains a pool fits."""
-    alloc = CommunityIdAllocator(high)
-    (record,) = run_snapshot(g, prev, hyper, np.random.default_rng([root, pos, chain]), alloc)
-    return record, alloc.high_water
+               root: int, pos: int, high: int, chain: int) -> SampleRecord:
+    """Fit chain ``chain`` of snapshot ``pos`` with new ids from ``high`` on;
+    return its best sweep's record, without a cover.  Runs in a worker
+    process for the chains a pool fits."""
+    (record,) = run_snapshot(g, prev, hyper, np.random.default_rng([root, pos, chain]), high)
+    return record
 
 
 def _usable_cpus() -> int:

@@ -48,8 +48,6 @@ from dyncomm.benchgen import GenConfig, GenError, _apportion
 from dyncomm.graphs import GraphFormatError, SnapshotGraph
 from dyncomm.membership import Cover
 from dyncomm.metrics import _cover_matrix
-from dyncomm.model import HyperParams
-from dyncomm.sampler import CommunityIdAllocator
 
 
 class CommunityStats:
@@ -293,16 +291,14 @@ def validate(g: SnapshotGraph) -> list[str]:
 
 
 def init_assignments_carry_dict(g: SnapshotGraph, prev_assignment: Mapping[tuple[int, int], int],
-                                hyper: HyperParams, seed,
-                                alloc: CommunityIdAllocator | None = None) -> dict:
+                                seed) -> dict:
     """Surviving edges keep their previous community; new edges, in edge
-    order, go uniformly to one of the previously live communities (or one
-    fresh community when there were none).  Returns {(u, v): id}."""
+    order, go uniformly to one of the previously live communities, of
+    which there must be one.  Returns {(u, v): id}."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     live_prev = sorted(set(int(r) for r in prev_assignment.values()))
     if not live_prev:
-        alloc = alloc if alloc is not None else CommunityIdAllocator()
-        live_prev = [alloc.fresh()]
+        raise ValueError("cannot carry over a summary that seats no edge")
     new_edges = [e for e in g.edges if e not in prev_assignment]
     labels = rng.integers(0, len(live_prev), size=len(new_edges))
     out = {}

@@ -62,7 +62,7 @@ def test_criterion_1_exact_posterior_tv(capsys):
     exact /= exact.sum()
 
     seed = 7
-    assign = init_assignments_first(g, hyper, seed)
+    assign = init_assignments_first(g, seed)
     rng = np.random.default_rng(seed)
     state = SamplerState(g, assign, None, hyper, rng)
     counts: Counter = Counter()
@@ -220,7 +220,7 @@ def test_criterion_7_sweep_cost_scales_with_edges(capsys):
                         avg_degree=avg_degree, t=1, seed=seed)
         net, _ = generate_dynamic(cfg)
         g = net.snapshots[0]
-        assign = init_assignments_first(g, hyper, seed)
+        assign = init_assignments_first(g, seed)
         rng = np.random.default_rng(seed + 1000)
         state = SamplerState(g, assign, None, hyper, rng)
         for _ in range(5):  # settle the community count before timing

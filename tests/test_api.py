@@ -1,8 +1,10 @@
 import argparse
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import dyncomm
@@ -59,6 +61,26 @@ def test_settable_surface_is_pinned():
     for command, keys in _CONFIG_KEYS.items():
         found[command + " keys"] = sorted(keys)
     assert found == SETTINGS
+
+
+SIGNATURES = {
+    "SamplerState.__init__": ["self", "graph", "assignment", "prev_counts", "hyper", "rng",
+                              "first_id"],
+    "init_assignments_first": ["g", "seed"],
+    "init_assignments_carry": ["g", "prev", "seed"],
+    "sweep_records": ["g", "prev", "hyper", "seed", "first_id"],
+    "run_snapshot": ["g", "prev", "hyper", "seed", "first_id"],
+    "detect_dynamic": ["net", "hyper", "seed", "chains"],
+    "gibbs_sweep": ["state"],
+}
+
+
+def test_sampler_entry_points_are_pinned():
+    # a parameter added to or dropped from the sampler's entry points must
+    # show up as an edit of this table
+    found = {name: list(inspect.signature(reduce(getattr, name.split("."), dyncomm)).parameters)
+             for name in SIGNATURES}
+    assert found == SIGNATURES
 
 
 STARTUP = """\

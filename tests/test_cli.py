@@ -464,6 +464,18 @@ def test_detect_requires_truth_covering_all_snapshots(bench_dir, tmp_path):
                    "--out", str(tmp_path / "det")) == 1
 
 
+def test_detect_rejects_truth_with_a_negative_node(bench_dir, tmp_path, capsys):
+    # such a node once joined the NMI universe without any error
+    bad = tmp_path / "bad.txt"
+    bad.write_text((bench_dir / "truth.txt").read_text() + "1 0 -3 0.5\n")
+    lineno = len(bad.read_text().splitlines())
+    out = tmp_path / "det"
+    assert run_cli("detect", str(bench_dir / "network.txt"),
+                   str(fast_hyper(tmp_path)), "--truth", str(bad), "--out", str(out)) == 1
+    assert "%s line %d: " % (bad, lineno) in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- evaluate
 
 

@@ -83,7 +83,7 @@ def test_carried_posterior_sums_the_recurrent_seating_prior():
 
 
 def test_path_sweeps_match_the_exact_posterior():
-    tv = sweep_tv(PATH, HYPER, init_assignments_first(PATH, HYPER, 7), {}, seed=7,
+    tv = sweep_tv(PATH, HYPER, init_assignments_first(PATH, 7), {}, seed=7,
                   sweeps=60_000)
     assert tv < 0.02
 
@@ -103,7 +103,7 @@ def test_complete_graph_sweeps_through_raised_envelopes_match_the_exact_posterio
     # envelopes but never proposes from the raised mass read 0.0235 and
     # 0.0278.
     hyper = HyperParams(alpha=1.0, gamma=1.0)
-    start = init_assignments_first(K4, hyper, 7)
+    start = init_assignments_first(K4, 7)
     state = SamplerState(K4, start, {}, hyper, np.random.default_rng(7))
     events: Counter = Counter()
     for _ in range(2_000):

@@ -196,7 +196,8 @@ def test_cover_file_rejects_short_line(tmp_path):
 
 @pytest.mark.parametrize("bad", ["1 x 3 0.5", "1.5 2 3 0.5", "1 2 3 heavy",
                                  "1 2 3 0.5 9", "1 2 3 nan", "1 2 3 inf", "1 2 3 -inf",
-                                 "1 2 3 -2.0"])
+                                 "1 2 3 -2.0", "1 0 -3 0.5", "0 1 2 0.25", "-4 -1 5 1",
+                                 "1 -2 3 0.5"])
 def test_cover_file_bad_line_names_file_and_line(tmp_path, bad):
     p = tmp_path / "bad.txt"
     p.write_text("1 2 4 0.5\n%s\n" % bad)

@@ -17,7 +17,6 @@ from dyncomm.membership import Cover, extract_cover, select_best
 from dyncomm.metrics import overlapping_nmi
 from dyncomm.model import HyperParams, collapsed_partition_score
 from dyncomm.sampler import (
-    CommunityIdAllocator,
     PrevSummary,
     SamplerState,
     detect_dynamic,
@@ -50,23 +49,21 @@ def partition_key(assignment):
 
 def test_init_first_uses_n_over_divisor_communities():
     g = SnapshotGraph(range(500), [(i, i + 1) for i in range(400)])
-    alloc = CommunityIdAllocator()
-    assign = init_assignments_first(g, HyperParams(), seed=0, alloc=alloc)
-    assert alloc.high_water == 100  # pool size before pruning
+    assign = init_assignments_first(g, seed=0)
     assert assign.shape == (g.m,) and assign.dtype == np.int64
     assert set(assign.tolist()) <= set(range(100))
 
 
 def test_init_first_clamps_pool_to_one():
     g = SnapshotGraph(range(4), [(0, 1), (1, 2), (2, 3)])
-    assign = init_assignments_first(g, HyperParams(), seed=1)
+    assign = init_assignments_first(g, seed=1)
     assert len(set(assign.tolist())) == 1
 
 
 def test_init_first_deterministic():
     g = SnapshotGraph(range(30), [(i, (i + 7) % 30) for i in range(30)])
-    a = init_assignments_first(g, HyperParams(), seed=5)
-    b = init_assignments_first(g, HyperParams(), seed=5)
+    a = init_assignments_first(g, seed=5)
+    b = init_assignments_first(g, seed=5)
     assert np.array_equal(a, b)
 
 
@@ -77,9 +74,9 @@ def summary(assignment):
     return PrevSummary(ends, labels, dict(Counter(labels.tolist())))
 
 
-def carried(g, prev_assignment, seed, alloc=None):
+def carried(g, prev_assignment, seed):
     """``init_assignments_carry``'s seating of g as ``{(u, v): community id}``."""
-    labels = init_assignments_carry(g, summary(prev_assignment), HyperParams(), seed, alloc)
+    labels = init_assignments_carry(g, summary(prev_assignment), seed)
     assert labels.shape == (g.m,) and labels.dtype == np.int64
     return dict(zip(g.edges, labels.tolist()))
 
@@ -104,11 +101,14 @@ def test_init_carry_removed_edge_absent():
     assert assign == {(1, 2): 5}
 
 
-def test_init_carry_empty_prev_falls_back_to_fresh_community():
+def test_init_carry_rejects_a_summary_that_seats_no_edge():
+    # detect passes on only the summaries of snapshots with edges, so an
+    # empty one is a caller's error, in the dict form too
     g = SnapshotGraph(range(4), [(0, 1), (2, 3)])
-    alloc = CommunityIdAllocator(start=11)
-    assign = carried(g, {}, seed=0, alloc=alloc)
-    assert set(assign.values()) == {11}
+    with pytest.raises(ValueError, match="seats no edge"):
+        carried(g, {}, seed=0)
+    with pytest.raises(ValueError, match="seats no edge"):
+        init_assignments_carry_dict(g, {}, seed=0)
 
 
 # ---------------------------------------------------------------- beta draws
@@ -330,7 +330,7 @@ def test_sweep_keeps_state_consistent():
     h = HyperParams()
     for trial in range(5):
         g = random_graph(rng, 15, 60)
-        assign = init_assignments_first(g, h, rng)
+        assign = init_assignments_first(g, rng)
         state = SamplerState(g, assign, None, h, rng)
         for _ in range(4):
             gibbs_sweep(state)
@@ -493,7 +493,7 @@ def reference_sweep(state, events=None):
         for k, a in enumerate(block):
             i, j = ends[a]
             beta = state._beta  # a new table replaces it
-            fresh = state.alloc.high_water  # ids from here on are newly opened
+            fresh = state.next_id  # ids from here on are newly opened
             cum = np.cumsum(beta[i, rows] * beta[j, rows] * env)
             total = float(cum[-1]) + state._new_w
             remove_idx(state, a)
@@ -587,7 +587,7 @@ def run_twins(fast, slow, sweeps, events=None, prev_counts=None):
     that ``gibbs_sweep`` starts as many blocks and makes as many exact
     draws as ``reference_sweep``, whose events are added to ``events``;
     returns (tables opened, rows emptied and dropped)."""
-    first_id = fast.alloc.high_water
+    first_id = fast.next_id
     seen = Counter()
     rng, fast.rng = fast.rng, CountingRng(fast.rng)
     dropped = 0
@@ -598,7 +598,7 @@ def run_twins(fast, slow, sweeps, events=None, prev_counts=None):
         assert fast.G == slow.G
         assert np.array_equal(fast._ids, slow._ids)
         assert np.array_equal(fast._beta, slow._beta)
-        assert fast.alloc.high_water == slow.alloc.high_water
+        assert fast.next_id == slow.next_id
         assert fast._assign_row.dtype == slow._assign_row.dtype == np.int64
         check_consistency(fast, prev_counts)
         check_consistency(slow, prev_counts)
@@ -608,7 +608,7 @@ def run_twins(fast, slow, sweeps, events=None, prev_counts=None):
     fast.rng = rng
     if events is not None:
         events.update(seen)
-    return fast.alloc.high_water - first_id, dropped
+    return fast.next_id - first_id, dropped
 
 
 @st.composite
@@ -804,7 +804,7 @@ def first_seed(holds, seeds):
 
 def test_detect_dynamic_same_result_for_any_worker_count(monkeypatch):
     # a seed whose snapshots chains 0, 1 and 2 win in turn, so that ids
-    # drawn by every chain's allocator reach the output
+    # opened by every chain reach the output
     net = three_snapshots(32)
     h = HyperParams(s_first=10, s_later=6)
     monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
@@ -833,11 +833,51 @@ def test_winning_chain_ids_do_not_depend_on_other_chains(monkeypatch):
                       range(100))
     first = detect_dynamic(net, h, seed=seed, chains=2)[0]
     assert first.chain == 1
-    records = run_snapshot(net[0], None, h, np.random.default_rng([seed, 0, 1]),
-                           alloc=CommunityIdAllocator())
+    records = run_snapshot(net[0], None, h, np.random.default_rng([seed, 0, 1]))
     cover, record = select_best([(r, r.cover) for r in records])
     assert first.cover.communities == cover.communities
     assert first.modularity == record.modularity
+
+
+def cliques(starts, size=5):
+    """The edges of a ``size``-clique on the nodes from each of ``starts`` on."""
+    return sorted((a + i, a + j) for a in starts for i in range(size) for j in range(i + 1, size))
+
+
+def test_an_output_id_never_names_a_new_community_later(monkeypatch):
+    # eight cliques, then one, then eight again: some id output at t=1 is
+    # gone at t=2 and above every id there, and a new table at t=3 must not
+    # take it, however many tables open
+    net = DynamicNetwork([SnapshotGraph(range(40), cliques(range(0, 40, 5)), t=1),
+                          SnapshotGraph(range(40), cliques([0]), t=2),
+                          SnapshotGraph(range(40), cliques(range(0, 40, 5)), t=3)])
+    h = HyperParams(alpha=5.0, s_first=20, s_later=10)
+    opened: dict[int, list[int]] = {}
+    create = SamplerState._create_community
+
+    def logged(state, i, j):
+        cid = create(state, i, j)
+        opened.setdefault(state.graph.t, []).append(cid)
+        return cid
+
+    monkeypatch.setattr(SamplerState, "_create_community", logged)
+
+    def run(seed):
+        opened.clear()
+        ids = [set(r.cover.communities) for r in detect_dynamic(net, h, seed=seed)]
+        return ids, {r for r in ids[0] - ids[1] if r > max(ids[1])}
+
+    def shows_it(seed):
+        # and t=3 opens enough tables that ids counted on from t=2's
+        # highest would reach the dropped one
+        ids, dropped = run(seed)
+        return bool(dropped) and len(opened.get(3, ())) >= min(dropped) - max(ids[1])
+
+    seed = first_seed(shows_it, range(100))
+    ids, dropped = run(seed)
+    assert not dropped & set(opened[3])
+    assert not dropped & ids[2]
+    assert min(opened[3]) > max(ids[0] | ids[1])
 
 
 def test_detect_builds_one_cover_per_snapshot(monkeypatch):
@@ -949,9 +989,8 @@ def test_two_edge_chain_matches_exact_posterior():
     exact = exact / exact.sum()
 
     rng = np.random.default_rng(40)
-    alloc = CommunityIdAllocator()
-    assign = init_assignments_first(g, h, rng, alloc)
-    state = SamplerState(g, assign, None, h, rng, alloc)
+    assign = init_assignments_first(g, rng)
+    state = SamplerState(g, assign, None, h, rng)
     keys = [partition_key(together), partition_key(apart)]
     counts = Counter()
     sweeps, burn_in = 8000, 500
@@ -1033,11 +1072,9 @@ def test_run_snapshot_selects_what_select_best_selects(seed):
     h = HyperParams(s_first=15, s_later=8)
     prev = None
     for g in (g0, g1):  # a first snapshot, then one carried over from it
-        alloc = CommunityIdAllocator(9)
-        records = list(sweep_records(g, prev, h, np.random.default_rng([seed, 1]), alloc))
+        records = list(sweep_records(g, prev, h, np.random.default_rng([seed, 1]), 9))
         cover, want = select_best([(r, r.cover) for r in records])
-        (got,) = run_snapshot(g, prev, h, np.random.default_rng([seed, 1]),
-                              CommunityIdAllocator(9))
+        (got,) = run_snapshot(g, prev, h, np.random.default_rng([seed, 1]), 9)
         assert got.sweep_index == want.sweep_index
         assert got.modularity == want.modularity
         assert np.array_equal(got.assign_ids, want.assign_ids)
@@ -1060,11 +1097,9 @@ def assert_carry_matches_the_dict_form(g0, g1, seed):
     for r in rec.assign_ids.tolist():
         counts[r] = counts.get(r, 0) + 1
     assert list(prev.counts.items()) == list(counts.items())  # first-seen order
-    fast, slow = CommunityIdAllocator(50), CommunityIdAllocator(50)
-    labels = init_assignments_carry(g1, prev, h, np.random.default_rng(seed), fast)
-    want = init_assignments_carry_dict(g1, assignment, h, np.random.default_rng(seed), slow)
+    labels = init_assignments_carry(g1, prev, np.random.default_rng(seed))
+    want = init_assignments_carry_dict(g1, assignment, np.random.default_rng(seed))
     assert labels.tolist() == [want[e] for e in g1.edges]
-    assert fast.high_water == slow.high_water
     return labels
 
 
